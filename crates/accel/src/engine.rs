@@ -61,8 +61,8 @@ impl AccelRunResult {
 /// Parameters of one spatial session: who runs, where on the grid, for how
 /// long, and whether the session should freeze itself.
 ///
-/// The plain `execute*` entry points are the degenerate case — full-grid
-/// region, never pause. The fabric manager uses explicit regions and
+/// The plain [`SpatialAccelerator::execute`] entry point is the degenerate
+/// case — full-grid region, never pause. The fabric manager uses explicit regions and
 /// `pause_at_cycle` to time-slice tenants.
 #[derive(Debug, Clone)]
 pub struct SessionRequest<'a> {
@@ -81,8 +81,8 @@ pub struct SessionRequest<'a> {
 }
 
 impl<'a> SessionRequest<'a> {
-    /// A full-grid, never-pausing request — what the plain `execute*`
-    /// entry points use.
+    /// A full-grid, never-pausing request — what the plain
+    /// [`SpatialAccelerator::execute`] entry point uses.
     #[must_use]
     pub fn solo(requester: usize, max_iterations: u64, faults: &'a FaultPlan, grid: crate::GridDim) -> Self {
         SessionRequest {
@@ -102,12 +102,25 @@ impl<'a> SessionRequest<'a> {
 #[derive(Debug, Clone)]
 pub enum SessionStatus {
     /// Every tile's loop exited (or the iteration budget ran out); the
-    /// result is exactly what an uninterrupted `execute*` call returns.
+    /// result is exactly what an uninterrupted run returns.
     Completed(AccelRunResult),
     /// The session froze at a round boundary per
     /// [`SessionRequest::pause_at_cycle`]; resume it by passing the
     /// snapshot back to [`SpatialAccelerator::run_session`].
     Paused(Box<PlacementSnapshot>),
+}
+
+impl SessionStatus {
+    /// The run result: a completed session's, or the progress a paused one
+    /// made up to its freeze (a solo request never pauses, so for those
+    /// this is always the completed result).
+    #[must_use]
+    pub fn into_result(self, prog: &AccelProgram) -> AccelRunResult {
+        match self {
+            SessionStatus::Completed(r) => r,
+            SessionStatus::Paused(s) => s.to_result(prog),
+        }
+    }
 }
 
 /// Errors starting or resuming a spatial session.
@@ -169,7 +182,7 @@ struct TileState {
     last_store_start: u64,
 }
 
-/// Per-iteration working buffers, allocated once per [`SpatialAccelerator::execute_traced`]
+/// Per-iteration working buffers, allocated once per [`SpatialAccelerator::run_session`]
 /// call and reused across every `run_iteration` of every tile. The engine
 /// previously allocated four fresh `Vec`s plus two `ArchState`s per node
 /// fire per iteration; with hundreds of iterations per offload that
@@ -208,7 +221,7 @@ impl IterScratch {
 }
 
 /// Static route of one dataflow edge, resolved once per
-/// [`SpatialAccelerator::execute_traced`] call. Placements never change
+/// [`SpatialAccelerator::run_session`] call. Placements never change
 /// during a run, so which link a transfer uses — and its model latency —
 /// is a constant; only the contention (fabric booking) is dynamic.
 #[derive(Debug, Clone, Copy)]
@@ -382,7 +395,9 @@ impl SpatialAccelerator {
     }
 
     /// Executes a configured region until every tile's loop exits or
-    /// `max_iterations` total iterations have run.
+    /// `max_iterations` total iterations have run — the plain entry point:
+    /// full grid, fault-free, untraced. [`run_session`](Self::run_session)
+    /// is the general one (regions, pauses, fault plans, tracing).
     ///
     /// Functional state (memory) is updated through `mem`; the returned
     /// [`AccelRunResult::final_regs`] carry the live-out architectural
@@ -400,102 +415,21 @@ impl SpatialAccelerator {
         requester: usize,
         max_iterations: u64,
     ) -> Result<AccelRunResult, ProgramError> {
-        self.execute_traced(prog, entry, mem, requester, max_iterations, &mut NullTracer, 0)
+        let faults = FaultPlan::none();
+        let req = SessionRequest::solo(requester, max_iterations, &faults, self.cfg.grid());
+        Ok(self.session_inner(prog, entry, mem, &req, None, &mut NullTracer, 0)?.into_result(prog))
     }
 
-    /// [`execute`](Self::execute) with engine-level fault injection: the
-    /// plan's dropped-bus-token schedule is applied to the fallback bus
-    /// (timing-only; architectural results must not change) and the
-    /// resulting [`AccelRunResult::faults`] records what was injected.
+    /// Runs one spatial session: [`execute`](Self::execute) confined to
+    /// `req.region`'s row band under `req.faults` (the plan's
+    /// dropped-bus-token schedule acts on the fallback bus — timing only;
+    /// [`AccelRunResult::faults`] records what was injected), optionally
+    /// freezing at a round boundary ([`SessionRequest::pause_at_cycle`])
+    /// and optionally continuing from an earlier freeze (`resume`).
     ///
-    /// # Errors
-    /// Returns [`ProgramError`] if the program fails validation against
-    /// this accelerator's grid.
-    pub fn execute_faulted(
-        &self,
-        prog: &AccelProgram,
-        entry: &ArchState,
-        mem: &mut MemorySystem,
-        requester: usize,
-        max_iterations: u64,
-        faults: &FaultPlan,
-    ) -> Result<AccelRunResult, ProgramError> {
-        self.execute_faulted_traced(
-            prog,
-            entry,
-            mem,
-            requester,
-            max_iterations,
-            faults,
-            &mut NullTracer,
-            0,
-        )
-    }
-
-    /// [`execute`](Self::execute) with tracing: wraps the run in an
-    /// `accel.execute` span on the accelerator timeline starting at
-    /// `cycle_base` (the controller's episode clock, since the engine's own
-    /// cycles are run-relative) and samples iteration/busy counters at its
-    /// close.
-    ///
-    /// # Errors
-    /// Returns [`ProgramError`] if the program fails validation against
-    /// this accelerator's grid.
-    #[allow(clippy::too_many_arguments)]
-    pub fn execute_traced(
-        &self,
-        prog: &AccelProgram,
-        entry: &ArchState,
-        mem: &mut MemorySystem,
-        requester: usize,
-        max_iterations: u64,
-        tracer: &mut dyn Tracer,
-        cycle_base: u64,
-    ) -> Result<AccelRunResult, ProgramError> {
-        self.execute_faulted_traced(
-            prog,
-            entry,
-            mem,
-            requester,
-            max_iterations,
-            &FaultPlan::none(),
-            tracer,
-            cycle_base,
-        )
-    }
-
-    /// [`execute_traced`](Self::execute_traced) with engine-level fault
-    /// injection (see [`execute_faulted`](Self::execute_faulted)).
-    ///
-    /// # Errors
-    /// Returns [`ProgramError`] if the program fails validation against
-    /// this accelerator's grid.
-    #[allow(clippy::too_many_arguments)]
-    pub fn execute_faulted_traced(
-        &self,
-        prog: &AccelProgram,
-        entry: &ArchState,
-        mem: &mut MemorySystem,
-        requester: usize,
-        max_iterations: u64,
-        faults: &FaultPlan,
-        tracer: &mut dyn Tracer,
-        cycle_base: u64,
-    ) -> Result<AccelRunResult, ProgramError> {
-        let req = SessionRequest::solo(requester, max_iterations, faults, self.cfg.grid());
-        match self.session_inner(prog, entry, mem, &req, None, tracer, cycle_base)? {
-            SessionStatus::Completed(r) => Ok(r),
-            // A solo request never pauses; mapped totally for panic freedom.
-            SessionStatus::Paused(s) => Ok(s.to_result(prog)),
-        }
-    }
-
-    /// Runs one spatial session: like
-    /// [`execute_faulted_traced`](Self::execute_faulted_traced) but
-    /// confined to `req.region`'s row band, optionally freezing at a
-    /// round boundary
-    /// ([`SessionRequest::pause_at_cycle`]) and optionally continuing from
-    /// an earlier freeze (`resume`).
+    /// The run is wrapped in an `accel.execute` span on the accelerator
+    /// timeline starting at `cycle_base` (the caller's episode clock, since
+    /// the engine's own cycles are run-relative).
     ///
     /// Because the fabric's latencies depend only on *relative*
     /// coordinates and its booking counters travel inside the snapshot, a
@@ -503,7 +437,7 @@ impl SpatialAccelerator {
     /// region of the same grid continues cycle-identically; across grids
     /// with different port counts the timing shifts but the architectural
     /// results are unchanged. A session that runs to completion returns
-    /// exactly what an uninterrupted `execute*` call would.
+    /// exactly what an uninterrupted run would.
     ///
     /// # Errors
     /// [`SessionError::Program`] when the program does not fit the region,
@@ -530,7 +464,7 @@ impl SpatialAccelerator {
     /// public entry points' concern): with `None` this is byte-for-byte
     /// the pre-fabric execute path over the full grid.
     #[allow(clippy::too_many_arguments)]
-    fn session_inner(
+    pub(crate) fn session_inner(
         &self,
         prog: &AccelProgram,
         entry: &ArchState,

@@ -19,10 +19,11 @@ use crate::engine::VIOLATION_REDO;
 use crate::faults::{FaultLog, FaultPlan, BUS_DROP_PENALTY};
 use crate::{
     AccelProgram, AccelRunResult, ActivityStats, Coord, LatencyModel, NodeConfig, Operand,
-    PerfCounters, ProgramError, SpatialAccelerator,
+    PerfCounters, ProgramError, SessionRequest, SpatialAccelerator,
 };
 use mesa_isa::{step, ArchState, Instruction, MemoryIo, OpClass, Outcome, Reg, Xlen};
 use mesa_mem::MemorySystem;
+use mesa_trace::NullTracer;
 use std::fmt;
 
 /// Per-tile interpreter state (the reference twin of the engine's
@@ -151,8 +152,8 @@ impl SpatialAccelerator {
     }
 
     /// [`execute_reference`](Self::execute_reference) with the same
-    /// engine-level fault injection as
-    /// [`execute_faulted`](Self::execute_faulted).
+    /// engine-level fault injection as a
+    /// [`run_session`](Self::run_session) under `faults`.
     ///
     /// # Errors
     /// Returns [`ProgramError`] if the program fails validation against
@@ -613,8 +614,10 @@ pub fn run_differential(
 ) -> Result<Option<Divergence>, ProgramError> {
     let mut fast_mem = mem.clone();
     let mut ref_mem = mem.clone();
-    let fast =
-        accel.execute_faulted(prog, entry, &mut fast_mem, requester, max_iterations, faults)?;
+    let req = SessionRequest::solo(requester, max_iterations, faults, accel.config().grid());
+    let fast = accel
+        .session_inner(prog, entry, &mut fast_mem, &req, None, &mut NullTracer, 0)?
+        .into_result(prog);
     let reference = accel.execute_reference_faulted(
         prog,
         entry,
@@ -733,9 +736,11 @@ mod tests {
 
         // Dropped tokens slow the run down but never change results.
         let clean = accel.execute(&prog, &entry, &mut mem, 0, 1_000).unwrap();
+        let req = SessionRequest::solo(0, 1_000, &faults, accel.config().grid());
         let faulted = accel
-            .execute_faulted(&prog, &entry, &mut fault_mem, 0, 1_000, &faults)
-            .unwrap();
+            .session_inner(&prog, &entry, &mut fault_mem, &req, None, &mut NullTracer, 0)
+            .unwrap()
+            .into_result(&prog);
         assert!(faulted.faults.bus_tokens_dropped > 0);
         assert!(faulted.cycles >= clean.cycles);
         assert_eq!(faulted.final_regs, clean.final_regs);

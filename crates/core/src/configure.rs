@@ -197,10 +197,13 @@ pub fn build_accel_program(
 }
 
 /// The configuration cache: finished configurations for loops that may be
-/// re-encountered (paper §4.3), keyed by the loop's PC range.
+/// re-encountered (paper §4.3), keyed by the loop's PC range and the
+/// content fingerprint of its code (the trace cache's
+/// `fill_fingerprint`), so a region rewritten in place misses instead of
+/// being served a stale mapping.
 #[derive(Debug, Clone, Default)]
 pub struct ConfigCache {
-    entries: HashMap<(u64, u64), AccelProgram>,
+    entries: HashMap<(u64, u64, u64), AccelProgram>,
 }
 
 impl ConfigCache {
@@ -210,15 +213,17 @@ impl ConfigCache {
         Self::default()
     }
 
-    /// Looks up a configuration for the loop at `[start_pc, end_pc)`.
+    /// Looks up a configuration for the loop at `[start_pc, end_pc)` whose
+    /// code has content fingerprint `fingerprint`.
     #[must_use]
-    pub fn get(&self, start_pc: u64, end_pc: u64) -> Option<&AccelProgram> {
-        self.entries.get(&(start_pc, end_pc))
+    pub fn get(&self, start_pc: u64, end_pc: u64, fingerprint: u64) -> Option<&AccelProgram> {
+        self.entries.get(&(start_pc, end_pc, fingerprint))
     }
 
-    /// Stores a configuration, replacing any previous one for the range.
-    pub fn insert(&mut self, program: AccelProgram) {
-        self.entries.insert((program.start_pc, program.end_pc), program);
+    /// Stores a configuration for code with content fingerprint
+    /// `fingerprint`, replacing any previous one for the same key.
+    pub fn insert(&mut self, fingerprint: u64, program: AccelProgram) {
+        self.entries.insert((program.start_pc, program.end_pc, fingerprint), program);
     }
 
     /// Number of cached configurations.
@@ -422,9 +427,10 @@ mod tests {
         let prog =
             build_accel_program(&ldfg, &sdfg, None, None, &accel, &OptFlags::default(), 1000);
         let mut cache = ConfigCache::new();
-        assert!(cache.get(0x1000, 0x1014).is_none());
-        cache.insert(prog.clone());
-        assert_eq!(cache.get(0x1000, 0x1014), Some(&prog));
+        assert!(cache.get(0x1000, 0x1014, 7).is_none());
+        cache.insert(7, prog.clone());
+        assert_eq!(cache.get(0x1000, 0x1014, 7), Some(&prog));
+        assert!(cache.get(0x1000, 0x1014, 8).is_none(), "other code, same PCs");
         assert_eq!(cache.len(), 1);
         cache.clear();
         assert!(cache.is_empty());

@@ -16,35 +16,48 @@ use crate::{
 };
 use mesa_accel::{
     AccelConfig, AccelProgram, ActivityStats, BitstreamError, Coord, FaultLog, FaultPlan,
-    PerfCounters, ProgramError, Region, SessionError, SnapshotError, SpatialAccelerator,
+    PerfCounters, ProgramError, Region, SessionError, SessionRequest, SnapshotError,
+    SpatialAccelerator,
 };
 use mesa_cpu::{
-    CoreConfig, FastForward, LoopStreamDetector, OoOCore, PipelineStats, RetireEvent, RetireMonitor,
-    RunLimits, StopReason, TraceCache,
+    CoreConfig, LoopStreamDetector, OoOCore, PipelineStats, RetireEvent, RetireMonitor, RunLimits,
+    StopReason, TraceCache,
 };
 use mesa_isa::{ArchState, OpClass, ParallelKind, Program, Reg};
 use mesa_mem::{AmatTable, MemConfig, MemTraffic, MemorySystem};
 use mesa_trace::host;
 use mesa_trace::{MetricsRegistry, NullTracer, Subsystem, Tracer};
 use std::fmt;
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::Arc;
 
-/// Process-global default for [`SystemConfig::fast_forward`]: the switch
-/// the harness binaries flip (via `--fast-forward` / `MESA_FASTFWD=1`)
-/// before building their configs and spawning workers.
-static FAST_FORWARD: AtomicBool = AtomicBool::new(false);
-
-/// Sets the process-wide fast-forward default picked up by every
-/// subsequently constructed [`SystemConfig`]. Existing configs are
-/// unaffected (the flag is copied at construction time).
-pub fn set_fast_forward(enabled: bool) {
-    FAST_FORWARD.store(enabled, Ordering::Relaxed);
+/// The choices a caller can make about one offload episode beyond the
+/// system it runs on. `Default` is the plain episode: untraced,
+/// fault-free, and uncached.
+///
+/// Every layer has one plain entry point and one general entry point that
+/// takes these options: [`run_offload`] / [`run_offload_with`] here,
+/// [`crate::run_tenants`] for the shared fabric, and the harness's
+/// `mesa_offload` / `mesa_offload_with`.
+pub struct EpisodeOpts<'a> {
+    /// Observer for the episode's cycle-timestamped phase spans (a
+    /// [`NullTracer`] by default).
+    pub tracer: &'a mut dyn Tracer,
+    /// Fault-injection plan to arm: the episode either recovers (correct
+    /// results, fault events in the report) or declines with a typed
+    /// [`MesaError`] — it never panics. Solo episodes only: fleet jobs
+    /// carry their plan in [`TenantJob::faults`](crate::TenantJob::faults).
+    pub faults: Option<&'a FaultPlan>,
+    /// Cross-request artifact cache to attach. It is architecturally
+    /// invisible: reports are byte-identical with or without it.
+    pub shared: Option<&'a Arc<crate::SharedArtifactCache>>,
 }
 
-/// Whether functional fast-forward is currently the process-wide default.
-#[must_use]
-pub fn fast_forward_enabled() -> bool {
-    FAST_FORWARD.load(Ordering::Relaxed)
+impl Default for EpisodeOpts<'_> {
+    fn default() -> Self {
+        // `NullTracer` is zero-sized, so leaking a box of it allocates
+        // nothing.
+        EpisodeOpts { tracer: Box::leak(Box::new(NullTracer)), faults: None, shared: None }
+    }
 }
 
 /// Everything needed to instantiate a MESA-enabled system.
@@ -68,13 +81,6 @@ pub struct SystemConfig {
     pub max_warmup_instrs: u64,
     /// Safety cap on accelerator iterations.
     pub max_accel_iterations: u64,
-    /// Run the CPU-side warmup and straight-line glue through the
-    /// functional fast-forward interpreter (estimated cycles) instead of
-    /// the full timing model. Detection behaves identically — the
-    /// interpreter trains the same predictor and feeds the same monitor —
-    /// but warmup cycle counts become estimates. Defaults to the
-    /// process-wide [`fast_forward_enabled`] switch.
-    pub fast_forward: bool,
 }
 
 impl SystemConfig {
@@ -89,7 +95,6 @@ impl SystemConfig {
             opts: OptFlags::default(),
             max_warmup_instrs: 2_000_000,
             max_accel_iterations: 100_000_000,
-            fast_forward: fast_forward_enabled(),
         }
     }
 
@@ -202,10 +207,6 @@ pub struct OffloadReport {
     pub warmup_cycles: u64,
     /// CPU instructions retired during warmup.
     pub warmup_instrs: u64,
-    /// Warmup instructions executed by the functional fast-forward
-    /// interpreter instead of the timing model (a subset of
-    /// `warmup_instrs`; `0` unless [`SystemConfig::fast_forward`] is set).
-    pub ff_instrs: u64,
     /// Initial configuration latency breakdown.
     pub config: ConfigLatency,
     /// CPU cycles that ran concurrently with configuration (iterations the
@@ -302,7 +303,6 @@ impl OffloadReport {
         reg.add("offload.episodes", 1);
         reg.add("offload.warmup_cycles", self.warmup_cycles);
         reg.add("offload.warmup_instrs", self.warmup_instrs);
-        reg.add("offload.ff_instrs", self.ff_instrs);
         reg.add("offload.config_cycles", self.config.total());
         reg.add("offload.config_phase_cpu_cycles", self.config_phase_cpu_cycles);
         reg.add("offload.cpu_iterations_during_config", self.cpu_iterations_during_config);
@@ -340,14 +340,9 @@ impl fmt::Display for OffloadReport {
         )?;
         writeln!(
             f,
-            "  warmup: {} cycles / {} instrs{}; config: {} cycles{}",
+            "  warmup: {} cycles / {} instrs; config: {} cycles{}",
             self.warmup_cycles,
             self.warmup_instrs,
-            if self.ff_instrs > 0 {
-                format!(" ({} fast-forwarded)", self.ff_instrs)
-            } else {
-                String::new()
-            },
             self.config.total(),
             if self.from_cache { " (from config cache)" } else { "" },
         )?;
@@ -426,7 +421,6 @@ pub(crate) struct PreparedEpisode {
     pub(crate) end_pc: u64,
     pub(crate) warmup_cycles: u64,
     pub(crate) warmup_instrs: u64,
-    pub(crate) ff_instrs: u64,
     pub(crate) cpu_pipeline: PipelineStats,
     pub(crate) config: ConfigLatency,
     pub(crate) config_phase_cpu_cycles: u64,
@@ -436,6 +430,9 @@ pub(crate) struct PreparedEpisode {
     pub(crate) expected_iterations: u64,
     pub(crate) initial_estimate: u64,
     pub(crate) from_cache: bool,
+    /// Trace-cache fill fingerprint of the region's code: the content part
+    /// of the configuration-cache key.
+    pub(crate) fill_fingerprint: u64,
     pub(crate) unmapped_nodes: usize,
     pub(crate) annotation: Option<ParallelKind>,
     pub(crate) fault_plan: FaultPlan,
@@ -460,7 +457,7 @@ pub struct MesaController {
     /// Optional process-wide artifact cache shared across controllers
     /// (the serving layer attaches one so repeat kernels skip the
     /// host-side decode + map work; see [`crate::SharedArtifactCache`]).
-    shared_cache: Option<std::sync::Arc<crate::SharedArtifactCache>>,
+    shared_cache: Option<Arc<crate::SharedArtifactCache>>,
     /// Armed fault-injection plan; applied to every subsequent episode.
     fault_plan: Option<FaultPlan>,
 }
@@ -490,13 +487,13 @@ impl MesaController {
     /// episode's simulated latency accounting is identical with or
     /// without the cache, keeping every [`OffloadReport`] byte-identical
     /// at any cache state.
-    pub fn set_shared_cache(&mut self, cache: Option<std::sync::Arc<crate::SharedArtifactCache>>) {
+    pub fn set_shared_cache(&mut self, cache: Option<Arc<crate::SharedArtifactCache>>) {
         self.shared_cache = cache;
     }
 
     /// The attached shared artifact cache, if any.
     #[must_use]
-    pub fn shared_cache(&self) -> Option<&std::sync::Arc<crate::SharedArtifactCache>> {
+    pub fn shared_cache(&self) -> Option<&Arc<crate::SharedArtifactCache>> {
         self.shared_cache.as_ref()
     }
 
@@ -533,30 +530,19 @@ impl MesaController {
     /// On success `state` is advanced past the loop with live-out registers
     /// applied, so the caller can resume CPU execution seamlessly.
     ///
-    /// # Errors
-    /// See [`MesaError`]. On `NoLoopDetected`/`Rejected` errors the CPU
-    /// state reflects the warmup execution performed so far.
-    pub fn offload(
-        &mut self,
-        program: &Program,
-        state: &mut ArchState,
-        mem: &mut MemorySystem,
-        cpu: &mut OoOCore,
-    ) -> Result<OffloadReport, MesaError> {
-        self.offload_traced(program, state, mem, cpu, &mut NullTracer)
-    }
-
-    /// [`offload`](Self::offload) with tracing: every phase of the episode
-    /// — detection, translation, per-`imap`-stage mapping, configuration
-    /// write, CPU overlap, offloaded execution, and F3 reoptimization
-    /// rounds — is emitted as spans on an episode-relative cycle clock
-    /// (cycle 0 = monitoring start). See the `mesa-trace` crate docs for
-    /// the span vocabulary.
+    /// Every phase of the episode — detection, translation,
+    /// per-`imap`-stage mapping, configuration write, CPU overlap,
+    /// offloaded execution, and F3 reoptimization rounds — is emitted to
+    /// `tracer` as spans on an episode-relative cycle clock (cycle 0 =
+    /// monitoring start); pass a [`NullTracer`] for none. See the
+    /// `mesa-trace` crate docs for the span vocabulary.
     ///
     /// # Errors
-    /// See [`MesaError`]. All spans opened before an error path are closed
-    /// before returning, so traces of failed episodes stay balanced.
-    pub fn offload_traced(
+    /// See [`MesaError`]. On `NoLoopDetected`/`Rejected` errors the CPU
+    /// state reflects the warmup execution performed so far. All spans
+    /// opened before an error path are closed before returning, so traces
+    /// of failed episodes stay balanced.
+    pub fn offload(
         &mut self,
         program: &Program,
         state: &mut ArchState,
@@ -599,33 +585,12 @@ impl MesaController {
         };
         let mut warmup_cycles = 0u64;
         let mut warmup_instrs = 0u64;
-        let mut ff_instrs = 0u64;
         let mut cpu_pipeline = PipelineStats::default();
-        // With fast-forward on, warmup quanta run through the functional
-        // interpreter: it feeds the same monitor (so detection is
-        // identical) and trains the same predictor, but charges estimated
-        // cycles instead of paying the timing model's bookkeeping.
-        let mut ff = self.system.fast_forward.then(|| FastForward::new(&self.system.core));
         let hot = loop {
             if warmup_instrs >= self.system.max_warmup_instrs {
                 break None;
             }
-            let r = match ff.as_mut() {
-                Some(ff) => {
-                    let fr = ff.run(
-                        program,
-                        state,
-                        mem,
-                        cpu.predictor_mut(),
-                        RunLimits::instrs(32),
-                        &mut monitor,
-                        None,
-                    );
-                    ff_instrs += fr.retired;
-                    fr.as_run_result()
-                }
-                None => cpu.run(program, state, mem, CPU, RunLimits::instrs(32), &mut monitor),
-            };
+            let r = cpu.run(program, state, mem, CPU, RunLimits::instrs(32), &mut monitor);
             cpu_pipeline.absorb(&r);
             warmup_cycles += r.cycles;
             warmup_instrs += r.retired;
@@ -646,22 +611,7 @@ impl MesaController {
                         max_instrs: 2 * hot.len() as u64,
                         stop_pc: Some(hot.start_pc),
                     };
-                    let r = match ff.as_mut() {
-                        Some(ff) => {
-                            let fr = ff.run(
-                                program,
-                                state,
-                                mem,
-                                cpu.predictor_mut(),
-                                align,
-                                &mut monitor,
-                                None,
-                            );
-                            ff_instrs += fr.retired;
-                            fr.as_run_result()
-                        }
-                        None => cpu.run(program, state, mem, CPU, align, &mut monitor),
-                    };
+                    let r = cpu.run(program, state, mem, CPU, align, &mut monitor);
                     cpu_pipeline.absorb(&r);
                     warmup_cycles += r.cycles;
                     warmup_instrs += r.retired;
@@ -812,7 +762,10 @@ impl MesaController {
         let host_map = host::span("map");
 
         // ---- F2: map and configure (or reuse a cached configuration) ----
-        let cached = self.cache.get(hot.start_pc, hot.end_pc).cloned();
+        // The configuration cache is keyed on the region's code content as
+        // well as its bounds: a region rewritten in place misses.
+        let fill_fingerprint = self.trace_cache.fill_fingerprint();
+        let cached = self.cache.get(hot.start_pc, hot.end_pc, fill_fingerprint).cloned();
         let from_cache = cached.is_some();
         let (mut accel_prog, initial_estimate, config) = match cached {
             Some(prog) => {
@@ -841,7 +794,7 @@ impl MesaController {
                     (
                         cache,
                         crate::artifact_cache::artifact_fingerprint(
-                            self.trace_cache.fill_fingerprint(),
+                            fill_fingerprint,
                             &ldfg,
                             annotation,
                             &accel_cfg,
@@ -861,7 +814,7 @@ impl MesaController {
                             ldfg.len(),
                             prog.tiles,
                         );
-                        self.cache.insert(prog.clone());
+                        self.cache.insert(fill_fingerprint, prog.clone());
                         (prog, est, lat)
                     }
                     None => {
@@ -891,7 +844,7 @@ impl MesaController {
                             prog.tiles,
                         );
                         let est = sdfg.expected_iteration_latency();
-                        self.cache.insert(prog.clone());
+                        self.cache.insert(fill_fingerprint, prog.clone());
                         if let Some((cache, fp)) = shared_key {
                             cache.insert_artifact(fp, prog.clone(), est);
                         }
@@ -1027,7 +980,6 @@ impl MesaController {
             end_pc: hot.end_pc,
             warmup_cycles,
             warmup_instrs,
-            ff_instrs,
             cpu_pipeline,
             config,
             config_phase_cpu_cycles,
@@ -1037,6 +989,7 @@ impl MesaController {
             expected_iterations,
             initial_estimate,
             from_cache,
+            fill_fingerprint,
             unmapped_nodes,
             annotation,
             fault_plan,
@@ -1063,7 +1016,6 @@ impl MesaController {
             end_pc,
             warmup_cycles,
             warmup_instrs,
-            ff_instrs,
             cpu_pipeline,
             config,
             config_phase_cpu_cycles,
@@ -1073,6 +1025,7 @@ impl MesaController {
             expected_iterations,
             initial_estimate,
             from_cache,
+            fill_fingerprint,
             unmapped_nodes,
             annotation,
             fault_plan,
@@ -1109,20 +1062,12 @@ impl MesaController {
             } else {
                 self.system.max_accel_iterations
             };
-            let r = match self.accel.execute_faulted_traced(
-                &current,
-                state,
-                mem,
-                ACCEL,
-                budget,
-                &fault_plan,
-                tracer,
-                now,
-            ) {
-                Ok(r) => r,
+            let req = SessionRequest::solo(ACCEL, budget, &fault_plan, self.system.accel.grid());
+            let r = match self.accel.run_session(&current, state, mem, &req, None, tracer, now) {
+                Ok(status) => status.into_result(&current),
                 Err(e) => {
                     tracer.span_end(Subsystem::Controller, "offload", now);
-                    return Err(MesaError::Accel(e));
+                    return Err(e.into());
                 }
             };
 
@@ -1238,7 +1183,7 @@ impl MesaController {
                     round.tiles_after = next.tiles;
                     round.reconfig_cycles = extra;
                     current = next;
-                    self.cache.insert(current.clone());
+                    self.cache.insert(fill_fingerprint, current.clone());
                 }
                 reconfigurations += 1;
             } else {
@@ -1264,7 +1209,6 @@ impl MesaController {
             region: (start_pc, end_pc),
             warmup_cycles,
             warmup_instrs,
-            ff_instrs,
             config,
             config_phase_cpu_cycles,
             cpu_iterations_during_config,
@@ -1300,22 +1244,10 @@ impl MesaController {
     ///
     /// Returns the episode reports plus total cycle accounting. The
     /// program must terminate (via `ecall` exit / `ebreak`) or exhaust
-    /// `max_cpu_instrs` of CPU execution.
+    /// `max_cpu_instrs` of CPU execution. Each offload episode's spans are
+    /// emitted to `tracer` on its own episode-relative clock, and rejected
+    /// regions surface as `reject` instant events.
     pub fn run_program(
-        &mut self,
-        program: &Program,
-        state: &mut ArchState,
-        mem: &mut MemorySystem,
-        cpu: &mut OoOCore,
-        max_cpu_instrs: u64,
-    ) -> ProgramRunReport {
-        self.run_program_traced(program, state, mem, cpu, max_cpu_instrs, &mut NullTracer)
-    }
-
-    /// [`run_program`](Self::run_program) with tracing: each offload
-    /// episode's spans are emitted on its own episode-relative clock, and
-    /// rejected regions surface as `reject` instant events.
-    pub fn run_program_traced(
         &mut self,
         program: &Program,
         state: &mut ArchState,
@@ -1326,11 +1258,10 @@ impl MesaController {
     ) -> ProgramRunReport {
         let mut report = ProgramRunReport::default();
         loop {
-            match self.offload_traced(program, state, mem, cpu, tracer) {
+            match self.offload(program, state, mem, cpu, tracer) {
                 Ok(ep) => {
                     report.total_cycles += ep.total_cycles();
                     report.cpu_instrs += ep.warmup_instrs;
-                    report.ff_instrs += ep.ff_instrs;
                     report.offloads.push(ep);
                 }
                 Err(MesaError::Rejected(reason)) => {
@@ -1355,26 +1286,9 @@ impl MesaController {
                 break;
             }
         }
-        // Finish whatever straight-line code remains — at interpreter
-        // speed when fast-forward is on (nobody reads per-cycle timing of
-        // the exit glue).
+        // Finish whatever straight-line code remains.
         let tail = RunLimits::instrs(max_cpu_instrs.saturating_sub(report.cpu_instrs).max(1));
-        let r = if self.system.fast_forward {
-            let mut ff = FastForward::new(&self.system.core);
-            let fr = ff.run(
-                program,
-                state,
-                mem,
-                cpu.predictor_mut(),
-                tail,
-                &mut mesa_cpu::NullMonitor,
-                None,
-            );
-            report.ff_instrs += fr.retired;
-            fr.as_run_result()
-        } else {
-            cpu.run(program, state, mem, 0, tail, &mut mesa_cpu::NullMonitor)
-        };
+        let r = cpu.run(program, state, mem, 0, tail, &mut mesa_cpu::NullMonitor);
         report.total_cycles += r.cycles;
         report.cpu_instrs += r.retired;
         report.halted = r.stop == StopReason::Halted;
@@ -1397,9 +1311,6 @@ pub struct ProgramRunReport {
     pub total_cycles: u64,
     /// Instructions the CPU retired (monitoring, config overlap, glue).
     pub cpu_instrs: u64,
-    /// Instructions handled by the functional fast-forward interpreter
-    /// (warmup quanta + final glue) — `0` with fast-forward off.
-    pub ff_instrs: u64,
     /// Whether the program reached its exit.
     pub halted: bool,
 }
@@ -1481,7 +1392,8 @@ fn merge_counters(into: &mut PerfCounters, from: &PerfCounters) {
     }
 }
 
-/// Convenience wrapper: build a fresh CPU, monitor + offload one region.
+/// The plain episode: a fresh controller and CPU monitor `program` and
+/// offload one region — untraced, fault-free, and uncached.
 ///
 /// `mem` must have been created with at least two requesters (0 = CPU,
 /// 1 = accelerator).
@@ -1494,81 +1406,27 @@ pub fn run_offload(
     mem: &mut MemorySystem,
     system: &SystemConfig,
 ) -> Result<OffloadReport, MesaError> {
-    run_offload_traced(program, state, mem, system, &mut NullTracer)
+    run_offload_with(program, state, mem, system, EpisodeOpts::default())
 }
 
-/// [`run_offload`] with tracing (see
-/// [`MesaController::offload_traced`]).
-///
-/// # Errors
-/// Propagates [`MesaController::offload`] errors.
-pub fn run_offload_traced(
-    program: &Program,
-    state: &mut ArchState,
-    mem: &mut MemorySystem,
-    system: &SystemConfig,
-    tracer: &mut dyn Tracer,
-) -> Result<OffloadReport, MesaError> {
-    let mut controller = MesaController::new(system.clone());
-    let mut cpu = OoOCore::new(system.core);
-    controller.offload_traced(program, state, mem, &mut cpu, tracer)
-}
-
-/// [`run_offload`] with a process-wide [`crate::SharedArtifactCache`]
-/// attached: repeat kernels skip the host-side decode + map work while
-/// producing a report byte-identical to the cold path (the cache is
-/// architecturally invisible — only wall-clock time changes).
-///
-/// # Errors
-/// Propagates [`MesaController::offload`] errors.
-pub fn run_offload_shared(
-    program: &Program,
-    state: &mut ArchState,
-    mem: &mut MemorySystem,
-    system: &SystemConfig,
-    cache: &std::sync::Arc<crate::SharedArtifactCache>,
-    tracer: &mut dyn Tracer,
-) -> Result<OffloadReport, MesaError> {
-    let mut controller = MesaController::new(system.clone());
-    controller.set_shared_cache(Some(cache.clone()));
-    let mut cpu = OoOCore::new(system.core);
-    controller.offload_traced(program, state, mem, &mut cpu, tracer)
-}
-
-/// [`run_offload`] under an armed fault-injection plan: the episode either
-/// completes with correct architectural results (recovering from injected
-/// faults) or declines with a typed [`MesaError`] — it never panics.
+/// The general episode: [`run_offload`] with a tracer, an armed fault
+/// plan, and a shared artifact cache, each optional (see [`EpisodeOpts`]).
 ///
 /// # Errors
 /// Propagates [`MesaController::offload`] errors, including
-/// [`MesaError::ConfigStream`] when the plan truncates the bitstream.
-pub fn run_offload_faulted(
+/// [`MesaError::ConfigStream`] when the fault plan truncates the bitstream.
+pub fn run_offload_with(
     program: &Program,
     state: &mut ArchState,
     mem: &mut MemorySystem,
     system: &SystemConfig,
-    plan: &FaultPlan,
-) -> Result<OffloadReport, MesaError> {
-    run_offload_faulted_traced(program, state, mem, system, plan, &mut NullTracer)
-}
-
-/// [`run_offload_faulted`] with tracing: injected faults surface as
-/// instants on the `fault` subsystem timeline.
-///
-/// # Errors
-/// Propagates [`MesaController::offload`] errors.
-pub fn run_offload_faulted_traced(
-    program: &Program,
-    state: &mut ArchState,
-    mem: &mut MemorySystem,
-    system: &SystemConfig,
-    plan: &FaultPlan,
-    tracer: &mut dyn Tracer,
+    opts: EpisodeOpts<'_>,
 ) -> Result<OffloadReport, MesaError> {
     let mut controller = MesaController::new(system.clone());
-    controller.set_fault_plan(Some(plan.clone()));
+    controller.set_fault_plan(opts.faults.cloned());
+    controller.set_shared_cache(opts.shared.cloned());
     let mut cpu = OoOCore::new(system.core);
-    controller.offload_traced(program, state, mem, &mut cpu, tracer)
+    controller.offload(program, state, mem, &mut cpu, opts.tracer)
 }
 
 #[cfg(test)]
@@ -1620,6 +1478,18 @@ mod tests {
         st.write(A1, BASE + 4 * n);
         st.write(A2, OUT);
         (p, st)
+    }
+
+    fn traced(tracer: &mut dyn Tracer) -> EpisodeOpts<'_> {
+        EpisodeOpts { tracer, ..EpisodeOpts::default() }
+    }
+
+    fn faulted(plan: &FaultPlan) -> EpisodeOpts<'_> {
+        EpisodeOpts { faults: Some(plan), ..EpisodeOpts::default() }
+    }
+
+    fn shared(cache: &Arc<crate::SharedArtifactCache>) -> EpisodeOpts<'_> {
+        EpisodeOpts { shared: Some(cache), ..EpisodeOpts::default() }
     }
 
     fn mem_with_data(n: u64) -> MemorySystem {
@@ -1742,13 +1612,13 @@ mod tests {
 
         let mut st = st0.clone();
         let mut mem = mem_with_data(n);
-        let first = controller.offload(&p, &mut st, &mut mem, &mut cpu).unwrap();
+        let first = controller.offload(&p, &mut st, &mut mem, &mut cpu, &mut NullTracer).unwrap();
         assert!(!first.from_cache);
 
         // Encounter the same loop again (fresh data, same PCs).
         let mut st = st0.clone();
         let mut mem = mem_with_data(n);
-        let second = controller.offload(&p, &mut st, &mut mem, &mut cpu).unwrap();
+        let second = controller.offload(&p, &mut st, &mut mem, &mut cpu, &mut NullTracer).unwrap();
         assert!(second.from_cache);
         assert!(
             second.config.total() < first.config.total(),
@@ -1765,7 +1635,8 @@ mod tests {
         let mut mem = mem_with_data(n);
         let mut tracer = mesa_trace::RingTracer::new(4096);
         let report =
-            run_offload_traced(&p, &mut st, &mut mem, &SystemConfig::m128(), &mut tracer).unwrap();
+            run_offload_with(&p, &mut st, &mut mem, &SystemConfig::m128(), traced(&mut tracer))
+                .unwrap();
 
         assert!(tracer.open_spans().is_empty(), "open: {:?}", tracer.open_spans());
         let chrome = tracer.to_chrome_trace();
@@ -1804,7 +1675,7 @@ mod tests {
         let mut mem = mem_with_data(20);
         let mut tracer = mesa_trace::RingTracer::new(1024);
         let err =
-            run_offload_traced(&p, &mut st, &mut mem, &SystemConfig::m128(), &mut tracer)
+            run_offload_with(&p, &mut st, &mut mem, &SystemConfig::m128(), traced(&mut tracer))
                 .unwrap_err();
         assert!(matches!(err, MesaError::Rejected(_)));
         assert!(tracer.open_spans().is_empty());
@@ -1826,7 +1697,7 @@ mod tests {
         let mut mem_b = mem_with_data(n);
         let mut tracer = mesa_trace::RingTracer::new(4096);
         let b =
-            run_offload_traced(&p, &mut st_b, &mut mem_b, &SystemConfig::m128(), &mut tracer)
+            run_offload_with(&p, &mut st_b, &mut mem_b, &SystemConfig::m128(), traced(&mut tracer))
                 .unwrap();
         assert_eq!(a.accel_iterations, b.accel_iterations);
         assert_eq!(a.total_cycles(), b.total_cycles());
@@ -1864,7 +1735,7 @@ mod tests {
         let (p, mut st) = sum_kernel(n);
         let mut mem = mem_with_data(n);
         let plan = FaultPlan { stuck_pes: all_tile_coords(), ..FaultPlan::none() };
-        let r = run_offload_faulted(&p, &mut st, &mut mem, &SystemConfig::m128(), &plan)
+        let r = run_offload_with(&p, &mut st, &mut mem, &SystemConfig::m128(), faulted(&plan))
             .expect("episode survives stuck PEs");
         assert!(r.faults.stuck_pes_scrubbed > 0, "every placed node was on a stuck PE");
         assert_eq!(r.unmapped_nodes, r.placement.len(), "all nodes fell back to the bus");
@@ -1890,7 +1761,7 @@ mod tests {
         };
         let mut st = st0;
         let mut mem = mem_with_data(n);
-        let r = run_offload_faulted(&p, &mut st, &mut mem, &SystemConfig::m128(), &plan)
+        let r = run_offload_with(&p, &mut st, &mut mem, &SystemConfig::m128(), faulted(&plan))
             .expect("episode survives dropped bus tokens");
         assert!(r.faults.bus_tokens_dropped > 0);
         assert!(
@@ -1906,7 +1777,7 @@ mod tests {
         let (p, mut st) = sum_kernel(n);
         let mut mem = mem_with_data(n);
         let plan = FaultPlan { seed: 7, counter_bit_flips: 4, ..FaultPlan::none() };
-        let r = run_offload_faulted(&p, &mut st, &mut mem, &SystemConfig::m128(), &plan)
+        let r = run_offload_with(&p, &mut st, &mut mem, &SystemConfig::m128(), faulted(&plan))
             .expect("episode survives counter corruption");
         if !r.reopt_rounds.is_empty() {
             assert!(r.faults.counter_bits_flipped > 0);
@@ -1929,11 +1800,11 @@ mod tests {
         }));
         let mut cpu = OoOCore::new(system.core);
 
-        let err = controller.offload(&p, &mut st, &mut mem, &mut cpu).unwrap_err();
+        let err = controller.offload(&p, &mut st, &mut mem, &mut cpu, &mut NullTracer).unwrap_err();
         assert!(matches!(err, MesaError::ConfigStream(_)), "got {err}");
 
         // The region is blacklisted; a re-attempt declines without a loop.
-        let err = controller.offload(&p, &mut st, &mut mem, &mut cpu).unwrap_err();
+        let err = controller.offload(&p, &mut st, &mut mem, &mut cpu, &mut NullTracer).unwrap_err();
         assert!(
             matches!(err, MesaError::NoLoopDetected | MesaError::LoopExitedDuringConfig),
             "got {err}"
@@ -1958,7 +1829,8 @@ mod tests {
             ..FaultPlan::none()
         }));
         let mut cpu = OoOCore::new(system.core);
-        let report = controller.run_program(&p, &mut st, &mut mem, &mut cpu, 10_000_000);
+        let report =
+            controller.run_program(&p, &mut st, &mut mem, &mut cpu, 10_000_000, &mut NullTracer);
         assert!(report.halted, "program must reach its exit on the CPU");
         assert_eq!(report.config_declines, 1);
         assert!(report.offloads.is_empty());
@@ -1975,7 +1847,8 @@ mod tests {
             bus_drop_period: 3,
             ..FaultPlan::none()
         };
-        let r = run_offload_faulted(&p, &mut st, &mut mem, &SystemConfig::m128(), &plan).unwrap();
+        let r =
+            run_offload_with(&p, &mut st, &mut mem, &SystemConfig::m128(), faulted(&plan)).unwrap();
         let mut reg = MetricsRegistry::new();
         r.record_metrics(&mut reg);
         assert_eq!(reg.counter("offload.fault.stuck_pes_scrubbed"), r.faults.stuck_pes_scrubbed);
@@ -2024,10 +1897,10 @@ mod tests {
         let system = SystemConfig::m128();
         let cache = std::sync::Arc::new(crate::SharedArtifactCache::new());
 
-        let run = |cache: &std::sync::Arc<crate::SharedArtifactCache>| {
+        let run = |cache: &Arc<crate::SharedArtifactCache>| {
             let (p, mut st) = sum_kernel(n);
             let mut mem = mem_with_data(n);
-            let r = run_offload_shared(&p, &mut st, &mut mem, &system, cache, &mut NullTracer)
+            let r = run_offload_with(&p, &mut st, &mut mem, &system, shared(cache))
                 .unwrap();
             (format!("{r:?}"), format!("{st:?}"))
         };
@@ -2066,13 +1939,13 @@ mod tests {
         // Request 1: the sum kernel, filling the cache for [0x1000,0x1010).
         let (p1, mut st1) = sum_kernel(n);
         let mut mem1 = mem_with_data(n);
-        run_offload_shared(&p1, &mut st1, &mut mem1, &system, &cache, &mut NullTracer).unwrap();
+        run_offload_with(&p1, &mut st1, &mut mem1, &system, shared(&cache)).unwrap();
 
         // Request 2: same region bounds, rewritten body (sub, not add).
         let (p2, mut st2) = diff_kernel(n);
         let mut mem2 = mem_with_data(n);
         let warm =
-            run_offload_shared(&p2, &mut st2, &mut mem2, &system, &cache, &mut NullTracer)
+            run_offload_with(&p2, &mut st2, &mut mem2, &system, shared(&cache))
                 .unwrap();
         assert_eq!(warm.region, (0x1000, 0x1010));
 
@@ -2083,5 +1956,30 @@ mod tests {
         let solo = run_offload(&p2b, &mut st2b, &mut mem2b, &system).unwrap();
         assert_eq!(format!("{warm:?}"), format!("{solo:?}"));
         assert_eq!(st2.read(T1), st2b.read(T1), "stale decode would compute the sum");
+    }
+
+    /// The per-controller configuration cache is keyed on code content
+    /// too: one controller serving the sum kernel and then the difference
+    /// kernel (same PCs, rewritten body) must map the rewritten region
+    /// afresh. Keyed on `(start_pc, end_pc)` alone, the second request
+    /// was served the sum's mapping and computed T1 = 100728 instead of
+    /// the difference −101000.
+    #[test]
+    fn config_cache_never_serves_stale_region_to_a_reused_controller() {
+        let n = 2000;
+        let system = SystemConfig::m128();
+        let mut controller = MesaController::new(system.clone());
+        let mut cpu = OoOCore::new(system.core);
+
+        let (p1, mut st1) = sum_kernel(n);
+        let mut mem1 = mem_with_data(n);
+        controller.offload(&p1, &mut st1, &mut mem1, &mut cpu, &mut NullTracer).unwrap();
+
+        let (p2, mut st2) = diff_kernel(n);
+        let mut mem2 = mem_with_data(n);
+        let second =
+            controller.offload(&p2, &mut st2, &mut mem2, &mut cpu, &mut NullTracer).unwrap();
+        assert!(!second.from_cache, "a rewritten region must not hit the config cache");
+        assert_eq!(st2.read(T1) as u32 as i32, -(expected_sum(n) as i32));
     }
 }

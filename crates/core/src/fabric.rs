@@ -21,7 +21,8 @@
 //! so a migrated tenant's timing is bit-identical to one that never moved.
 
 use crate::controller::{
-    apply_live_outs, MesaController, MesaError, OffloadReport, PreparedEpisode, SystemConfig,
+    apply_live_outs, EpisodeOpts, MesaController, MesaError, OffloadReport, PreparedEpisode,
+    SystemConfig,
 };
 use mesa_accel::{
     AccelConfig, AccelProgram, AccelRunResult, FaultPlan, PlacementSnapshot, ProgramError,
@@ -32,12 +33,11 @@ use mesa_cpu::OoOCore;
 use mesa_isa::ArchState;
 use mesa_mem::MemorySystem;
 use mesa_trace::host::{self, HostClock};
-use mesa_trace::{
-    FlightRecorder, Histogram, MetricsRegistry, NullTracer, Subsystem, Tracer,
-};
+use mesa_trace::{FlightRecorder, Histogram, MetricsRegistry, Subsystem, Tracer};
 use std::collections::VecDeque;
 use std::fmt;
 use std::fmt::Write as _;
+use std::sync::Arc;
 
 /// Identifies one tenant of the shared fabric (dense, starting at 0).
 pub type TenantId = u32;
@@ -1094,7 +1094,7 @@ pub struct FleetDriver<'a> {
     host: Option<HostTiming>,
     /// Shared artifact cache the per-tenant controllers were attached to
     /// (kept so fleet exports carry the cache counters).
-    shared_cache: Option<std::sync::Arc<crate::SharedArtifactCache>>,
+    shared_cache: Option<Arc<crate::SharedArtifactCache>>,
 }
 
 /// Clock + accumulators behind [`FleetDriver::set_host_clock`].
@@ -1112,30 +1112,19 @@ impl<'a> FleetDriver<'a> {
     /// own CPU and memory) and admits the survivors to a fresh
     /// [`FabricManager`]. Prepare-stage declines settle immediately and
     /// are logged to the flight recorder under the job's index.
+    ///
+    /// `shared_cache`, when given, is attached to every per-tenant
+    /// controller: repeat kernels across tenants (and across fleet runs
+    /// sharing the cache) skip the host-side decode + map work, and fleet
+    /// exports carry the cache counters. The cache is architecturally
+    /// invisible — outcomes are byte-identical with or without it.
     pub fn new(
         system: &SystemConfig,
         jobs: &'a mut [TenantJob],
         quantum: u64,
         migrate_every: u64,
         tracer: &mut dyn Tracer,
-    ) -> Self {
-        Self::new_shared(system, jobs, quantum, migrate_every, tracer, None)
-    }
-
-    /// [`new`](Self::new) with an optional process-wide
-    /// [`SharedArtifactCache`](crate::SharedArtifactCache) attached to
-    /// every per-tenant controller: repeat kernels across tenants (and
-    /// across fleet runs sharing the cache) skip the host-side decode +
-    /// map work, and fleet exports carry the cache counters. The cache is
-    /// architecturally invisible — outcomes are byte-identical with or
-    /// without it.
-    pub fn new_shared(
-        system: &SystemConfig,
-        jobs: &'a mut [TenantJob],
-        quantum: u64,
-        migrate_every: u64,
-        tracer: &mut dyn Tracer,
-        shared_cache: Option<std::sync::Arc<crate::SharedArtifactCache>>,
+        shared_cache: Option<Arc<crate::SharedArtifactCache>>,
     ) -> Self {
         let mut manager = FabricManager::new(system.accel);
         let mut outcomes: Vec<Option<Result<OffloadReport, MesaError>>> =
@@ -1430,7 +1419,8 @@ impl<'a> FleetDriver<'a> {
     }
 }
 
-/// Runs `jobs` as concurrent tenants of one shared fabric.
+/// Runs `jobs` as concurrent tenants of one shared fabric — the fabric
+/// layer's one episode entry point.
 ///
 /// Each job is first prepared solo (F1 monitoring and F2 configuration on
 /// its own CPU and memory), then admitted to a [`FabricManager`] which
@@ -1443,59 +1433,27 @@ impl<'a> FleetDriver<'a> {
 /// loop assumes grid ownership); reports have `reconfigurations == 0` and
 /// carry the tenant id, final band, and migration count.
 ///
-/// Returns one outcome per job, in job order: declines (no loop, C1–C3
-/// rejection, truncated config, admission failure) are reported as typed
-/// errors, exactly like solo offloads.
+/// `opts` works as for a solo episode: with a tracer, per-tenant spans
+/// ride each tenant's own episode-relative clock, band residency shows as
+/// balanced `region_held@rNN` spans, and migrations surface as `migrate`
+/// instants; a shared cache is attached to every tenant controller (see
+/// [`FleetDriver::new`]). Fault plans are set per job, in
+/// [`TenantJob::faults`]; `opts.faults` is for solo episodes and is not
+/// read here.
+///
+/// The returned [`FleetRun`] holds one outcome per job, in job order:
+/// declines (no loop, C1–C3 rejection, truncated config, admission
+/// failure) are reported as typed errors, exactly like solo offloads.
 pub fn run_tenants(
     system: &SystemConfig,
     jobs: &mut [TenantJob],
     quantum: u64,
     migrate_every: u64,
-) -> Vec<Result<OffloadReport, MesaError>> {
-    run_tenants_fleet(system, jobs, quantum, migrate_every, &mut NullTracer).outcomes
-}
-
-/// [`run_tenants`] with tracing: per-tenant spans ride each tenant's own
-/// episode-relative clock, band residency shows as balanced
-/// `region_held@rNN` spans, and migrations surface as `migrate` instants.
-pub fn run_tenants_traced(
-    system: &SystemConfig,
-    jobs: &mut [TenantJob],
-    quantum: u64,
-    migrate_every: u64,
-    tracer: &mut dyn Tracer,
-) -> Vec<Result<OffloadReport, MesaError>> {
-    run_tenants_fleet(system, jobs, quantum, migrate_every, tracer).outcomes
-}
-
-/// [`run_tenants`] returning the full [`FleetRun`]: outcomes plus fleet
-/// stats, flight history, and any auto-generated post-mortem.
-pub fn run_tenants_fleet(
-    system: &SystemConfig,
-    jobs: &mut [TenantJob],
-    quantum: u64,
-    migrate_every: u64,
-    tracer: &mut dyn Tracer,
+    opts: EpisodeOpts<'_>,
 ) -> FleetRun {
-    let mut driver = FleetDriver::new(system, jobs, quantum, migrate_every, tracer);
-    while driver.step(tracer) {}
-    driver.into_run()
-}
-
-/// [`run_tenants_fleet`] with a process-wide
-/// [`SharedArtifactCache`](crate::SharedArtifactCache) attached to every
-/// per-tenant controller (see [`FleetDriver::new_shared`]); the run's
-/// [`FleetStats`] carry the cache counters.
-pub fn run_tenants_fleet_shared(
-    system: &SystemConfig,
-    jobs: &mut [TenantJob],
-    quantum: u64,
-    migrate_every: u64,
-    tracer: &mut dyn Tracer,
-    cache: &std::sync::Arc<crate::SharedArtifactCache>,
-) -> FleetRun {
+    let tracer = opts.tracer;
     let mut driver =
-        FleetDriver::new_shared(system, jobs, quantum, migrate_every, tracer, Some(cache.clone()));
+        FleetDriver::new(system, jobs, quantum, migrate_every, tracer, opts.shared.cloned());
     while driver.step(tracer) {}
     driver.into_run()
 }
@@ -1521,7 +1479,6 @@ fn finish_tenant(
         region: (ep.start_pc, ep.end_pc),
         warmup_cycles: ep.warmup_cycles,
         warmup_instrs: ep.warmup_instrs,
-        ff_instrs: ep.ff_instrs,
         config: ep.config,
         config_phase_cpu_cycles: ep.config_phase_cpu_cycles,
         cpu_iterations_during_config: ep.cpu_iterations_during_config,
@@ -1556,6 +1513,7 @@ mod tests {
     use mesa_isa::reg::abi::*;
     use mesa_isa::{Asm, ArchState, Program, Xlen};
     use mesa_mem::MemConfig;
+    use mesa_trace::NullTracer;
 
     const BASE: u64 = 0x10_0000;
     const OUT: u64 = 0x20_0000;
@@ -1591,7 +1549,7 @@ mod tests {
     fn two_tenants_share_the_grid_on_disjoint_aligned_bands() {
         let system = SystemConfig::m128();
         let mut jobs = vec![sum_job(2000), sum_job(3000)];
-        let reports = run_tenants(&system, &mut jobs, 200, 0);
+        let reports = run_tenants(&system, &mut jobs, 200, 0, EpisodeOpts::default()).outcomes;
         assert_eq!(reports.len(), 2);
         let a = reports[0].as_ref().unwrap();
         let b = reports[1].as_ref().unwrap();
@@ -1611,11 +1569,12 @@ mod tests {
     fn migration_mid_episode_is_architecturally_invisible() {
         let system = SystemConfig::m128();
         let mut solo = vec![sum_job(2500)];
-        let solo_reports = run_tenants(&system, &mut solo, 150, 0);
+        let solo_reports = run_tenants(&system, &mut solo, 150, 0, EpisodeOpts::default()).outcomes;
         let solo_report = solo_reports[0].as_ref().unwrap();
 
         let mut moved = vec![sum_job(2500)];
-        let moved_reports = run_tenants(&system, &mut moved, 150, 2);
+        let moved_reports =
+            run_tenants(&system, &mut moved, 150, 2, EpisodeOpts::default()).outcomes;
         let moved_report = moved_reports[0].as_ref().unwrap();
 
         assert!(moved_report.migrations > 0, "migrate_every=2 must actually migrate");
@@ -1631,7 +1590,7 @@ mod tests {
     fn fleet_stats_conserve_occupancy_and_validate() {
         let system = SystemConfig::m128();
         let mut jobs = vec![sum_job(2000), sum_job(3000)];
-        let run = run_tenants_fleet(&system, &mut jobs, 200, 2, &mut NullTracer);
+        let run = run_tenants(&system, &mut jobs, 200, 2, EpisodeOpts::default());
         assert!(run.outcomes.iter().all(Result::is_ok));
         let s = &run.stats;
         assert_eq!(s.runs, 1);
@@ -1672,9 +1631,9 @@ mod tests {
     fn fleet_stats_merge_preserves_conservation() {
         let system = SystemConfig::m128();
         let mut a_jobs = vec![sum_job(1500)];
-        let a = run_tenants_fleet(&system, &mut a_jobs, 150, 0, &mut NullTracer).stats;
+        let a = run_tenants(&system, &mut a_jobs, 150, 0, EpisodeOpts::default()).stats;
         let mut b_jobs = vec![sum_job(2500), sum_job(1000)];
-        let b = run_tenants_fleet(&system, &mut b_jobs, 150, 0, &mut NullTracer).stats;
+        let b = run_tenants(&system, &mut b_jobs, 150, 0, EpisodeOpts::default()).stats;
         let mut merged = a.clone();
         merged.merge(&b);
         assert_eq!(merged.runs, 2);
@@ -1692,7 +1651,8 @@ mod tests {
         let system = SystemConfig::m128();
         let mut jobs = vec![sum_job(2000), sum_job(1500)];
         let mut tracer = mesa_trace::RingTracer::new(8192);
-        let _ = run_tenants_traced(&system, &mut jobs, 150, 2, &mut tracer);
+        let opts = EpisodeOpts { tracer: &mut tracer, ..EpisodeOpts::default() };
+        let _ = run_tenants(&system, &mut jobs, 150, 2, opts);
         assert!(tracer.open_spans().is_empty(), "every region_held span must close");
         let chrome = tracer.to_chrome_trace();
         assert!(

@@ -22,6 +22,24 @@
 //! the iterative optimizer ([`reoptimize`], §1/F3), and the end-to-end
 //! [`MesaController`].
 //!
+//! # Entry points
+//!
+//! One episode — F1 monitor, T1–T3 translate/map/configure, offload, F3
+//! reoptimize — has one plain and one general call per layer:
+//!
+//! * [`run_offload`] runs it untraced, fault-free, and uncached;
+//!   [`run_offload_with`] takes an [`EpisodeOpts`] carrying a tracer and
+//!   an optional fault plan and [`SharedArtifactCache`]
+//!   (`EpisodeOpts::default()` is the plain episode).
+//! * [`run_tenants`] runs many episodes as tenants of one shared fabric
+//!   under the same options and returns a [`FleetRun`].
+//! * [`MesaController::offload`] and [`MesaController::run_program`] keep
+//!   a controller (and its configuration and trace caches) across
+//!   episodes; they take the tracer directly.
+//!
+//! Every CPU phase is simulated cycle-accurately; no process-wide switch
+//! changes what an episode reports.
+//!
 //! # Example
 //!
 //! ```
@@ -67,15 +85,13 @@ pub mod optimizer;
 pub use artifact_cache::{ArtifactCacheStats, SharedArtifactCache};
 pub use configure::{build_accel_program, choose_tiles, ConfigCache, OptFlags};
 pub use controller::{
-    fast_forward_enabled, run_offload, run_offload_faulted, run_offload_faulted_traced,
-    run_offload_shared, run_offload_traced, set_fast_forward, MesaController, MesaError,
-    OffloadReport, ProgramRunReport, SystemConfig,
+    run_offload, run_offload_with, EpisodeOpts, MesaController, MesaError, OffloadReport,
+    ProgramRunReport, SystemConfig,
 };
 pub use detect::{check_region, estimate_trip_count, DetectConfig, DetectedRegion, RejectReason};
 pub use fabric::{
-    run_tenants, run_tenants_fleet, run_tenants_fleet_shared, run_tenants_traced, Admission,
-    FabricError, FabricManager, FleetDriver, FleetRun, FleetStats, HostStats, TenantId, TenantJob,
-    TenantProgress, TenantStats,
+    run_tenants, Admission, FabricError, FabricManager, FleetDriver, FleetRun, FleetStats,
+    HostStats, TenantId, TenantJob, TenantProgress, TenantStats,
 };
 pub use dfg::{BuildError, Ldfg, LdfgNode};
 pub use imap::{config_latency, reconfig_latency, trace_map_stages, ConfigLatency, ImapTiming};

@@ -37,14 +37,12 @@
 #![warn(missing_docs)]
 
 pub mod config;
-pub mod fastfwd;
 pub mod frontend;
 pub mod multicore;
 pub mod ooo;
 pub mod predictor;
 
 pub use config::CoreConfig;
-pub use fastfwd::{CpiModel, FastForward, FastForwardStats, FfResult, HybridCpu};
 pub use frontend::{LoopCandidate, LoopStreamDetector, RegionTooLarge, TraceCache};
 pub use multicore::{Multicore, MulticoreResult};
 pub use ooo::{

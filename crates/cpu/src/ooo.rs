@@ -469,16 +469,6 @@ impl OoOCore {
         &self.predictor
     }
 
-    /// Mutable access to the branch predictor.
-    ///
-    /// The functional fast-forward interpreter drives the same predictor
-    /// the timing model uses, so hybrid execution keeps one coherent
-    /// branch history across mode switches.
-    #[must_use]
-    pub fn predictor_mut(&mut self) -> &mut BranchPredictor {
-        &mut self.predictor
-    }
-
     /// Micro-op cache: revalidate (cheap compare) or rebuild, including the
     /// macro-op fusion pairing when enabled.
     fn ensure_predecoded(&mut self, program: &Program) {

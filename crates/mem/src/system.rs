@@ -176,20 +176,6 @@ impl MemorySystem {
         &self.data
     }
 
-    /// Clears transient bank-contention timing (`bank_free_at`) without
-    /// touching cache contents or statistics. Each `OoOCore::run` begins
-    /// at cycle 0, so a caller that interleaves timing runs with
-    /// interpreted stretches (the hybrid fast-forward sampler) must
-    /// settle the banks before each sample: program time has advanced
-    /// far past any in-flight bank occupancy left by the previous run,
-    /// and carrying those absolute deadlines into a fresh cycle-0 run
-    /// would charge phantom bank waits.
-    pub fn settle_timing(&mut self) {
-        for b in &mut self.bank_free_at {
-            *b = 0;
-        }
-    }
-
     /// Timing for an access by `requester` to `addr` at cycle `now`.
     ///
     /// # Panics

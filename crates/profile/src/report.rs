@@ -93,9 +93,6 @@ pub struct ProfileReport {
     /// Macro-op pairs the CPU's fusion pass retired as superinstructions,
     /// per idiom: `[cmp+branch, addr+load, addr+store, alu+alu]`.
     pub fused_pairs: [u64; 4],
-    /// Of `cpu_retired`, instructions the functional fast-forward
-    /// interpreter handled (`0` with fast-forward off).
-    pub ff_instrs: u64,
 }
 
 impl ProfileReport {
@@ -155,7 +152,6 @@ impl ProfileReport {
                 report.cpu_pipeline.fusion.addr_store,
                 report.cpu_pipeline.fusion.alu_alu,
             ],
-            ff_instrs: report.ff_instrs,
         }
     }
 
@@ -183,7 +179,6 @@ impl ProfileReport {
             activity_ops_total: 0,
             cpu_retired: 0,
             fused_pairs: [0; 4],
-            ff_instrs: 0,
         }
     }
 
@@ -253,11 +248,6 @@ impl ProfileReport {
             self.fusion_hit_rate(),
         ));
         out.push_str(&format!(
-            "\"fastfwd\":{{\"ff_instrs\":{},\"simulated_instrs\":{}}},\n",
-            self.ff_instrs,
-            self.cpu_retired.saturating_sub(self.ff_instrs),
-        ));
-        out.push_str(&format!(
             "\"summary\":{{\"accel_iterations\":{},\"tiles\":{},\"pipelined\":{},\
              \"activity_ops_total\":{},\"fires_total\":{}}}\n",
             self.accel_iterations,
@@ -295,11 +285,10 @@ impl ProfileReport {
             self.phases.total
         ));
         out.push_str(&format!(
-            "cpu speed: {} retired, {} fused pairs ({:.1}% fused), {} fast-forwarded\n",
+            "cpu speed: {} retired, {} fused pairs ({:.1}% fused)\n",
             self.cpu_retired,
             self.fused_pairs.iter().sum::<u64>(),
             self.fusion_hit_rate() * 100.0,
-            self.ff_instrs,
         ));
         out.push_str(&format!(
             "offload: {} iterations, {} tile(s){}\n\n",

@@ -10,12 +10,12 @@
 //! (set `MESA_BENCH_OUT=<path>` to write elsewhere — `scripts/bench_diff.sh`
 //! uses this to compare a fresh run against the committed baseline).
 
-use mesa_accel::{AccelConfig, Coord, FaultPlan, SpatialAccelerator};
+use mesa_accel::{AccelConfig, Coord, FaultPlan, SessionRequest, SpatialAccelerator};
 use mesa_core::{
     analyze_memopts, build_accel_program, map_instructions, FabricManager, Ldfg, MapperConfig,
     OptFlags, SystemConfig, TenantProgress,
 };
-use mesa_cpu::{CoreConfig, HybridCpu, NullMonitor, OoOCore, RunLimits};
+use mesa_cpu::{CoreConfig, NullMonitor, OoOCore, RunLimits};
 use mesa_isa::{codec, OpClass};
 use mesa_mem::{MemConfig, MemorySystem};
 use mesa_test::BenchSuite;
@@ -116,17 +116,20 @@ fn bench_engine(suite: &mut BenchSuite) {
     });
 }
 
-/// The same engine workload through the traced entry point with a
-/// [`NullTracer`]: `scripts/ci.sh` gates this against the untraced run
-/// above, so the disabled-tracing fast path stays free.
+/// The same engine workload through the general (traceable) entry point
+/// with a [`NullTracer`]: `scripts/bench_gates.tsv` gates this against the
+/// plain run above, so the disabled-tracing fast path stays free.
 fn bench_engine_null_tracer(suite: &mut BenchSuite) {
     let (kernel, sa, prog) = nn_engine_setup();
+    let faults = FaultPlan::none();
+    let req = SessionRequest::solo(0, 1_000_000, &faults, sa.config().grid());
     suite.run_cycles("tracer/null_engine_nn_on_m128", 20, || {
         let mut mem = MemorySystem::new(MemConfig::default(), 1);
         kernel.populate(mem.data_mut());
         black_box(
-            sa.execute_traced(&prog, &kernel.entry, &mut mem, 0, 1_000_000, &mut NullTracer, 0)
-                .expect("runs"),
+            sa.run_session(&prog, &kernel.entry, &mut mem, &req, None, &mut NullTracer, 0)
+                .expect("runs")
+                .into_result(&prog),
         )
         .cycles
     });
@@ -134,10 +137,10 @@ fn bench_engine_null_tracer(suite: &mut BenchSuite) {
 
 /// The same engine workload as a single tenant of a [`FabricManager`]:
 /// admission, band placement, session bookkeeping, and completion tracking
-/// on top of the raw engine run. `scripts/ci.sh` and `scripts/bench_diff.sh`
-/// gate this against `engine/nn_512_iterations_on_m128`, so virtualizing
-/// the fabric stays within 10% of the pre-fabric baseline for the solo
-/// case everyone else pays for.
+/// on top of the raw engine run. `scripts/bench_gates.tsv` gates this
+/// against `engine/nn_512_iterations_on_m128`, so virtualizing the fabric
+/// stays within 10% of the pre-fabric baseline for the solo case everyone
+/// else pays for.
 fn bench_fabric(suite: &mut BenchSuite) {
     let (kernel, _sa, prog) = nn_engine_setup();
     let cfg = AccelConfig::m128();
@@ -181,7 +184,7 @@ fn bench_ooo_core(suite: &mut BenchSuite) {
     let kernel = by_name("pathfinder", KernelSize::Tiny).expect("pathfinder");
     // Reference loop: fusion off, one micro-op per iteration. The fused
     // run is timing-identical, so `pathfinder_fused / pathfinder_tiny_to_halt`
-    // measures pure simulator speedup (gated ≤ 0.75 by ci.sh).
+    // measures pure simulator speedup (gated ≤ 0.75 in scripts/bench_gates.tsv).
     suite.run_cycles("ooo_core/pathfinder_tiny_to_halt", 20, || {
         let mut mem = MemorySystem::new(MemConfig::default(), 1);
         kernel.populate(mem.data_mut());
@@ -212,29 +215,12 @@ fn bench_ooo_core(suite: &mut BenchSuite) {
         ))
         .cycles
     });
-    // Whole-program hybrid fast-forward: interpreter speed outside the
-    // sampled hot-loop windows (gated ≤ 0.40 of the unfused run by ci.sh).
-    suite.run_cycles("cpu/pathfinder_full_fastfwd", 20, || {
-        let mut mem = MemorySystem::new(MemConfig::default(), 1);
-        kernel.populate(mem.data_mut());
-        let mut state = kernel.entry.clone();
-        let mut cpu = HybridCpu::new(CoreConfig::boom_baseline());
-        black_box(cpu.run(
-            &kernel.program,
-            &mut state,
-            &mut mem,
-            0,
-            RunLimits::none(),
-            &mut NullMonitor,
-        ))
-        .cycles
-    });
 }
 
 /// The same full offload episode with the host span profiler off and
 /// then on (real clock, per-span allocation deltas included): the
-/// `host/*_profiled` vs `host/*_off` ratio is gated at ≤ 1.05 by
-/// `scripts/ci.sh` and `scripts/bench_diff.sh`. Measuring both sides in
+/// `host/*_profiled` vs `host/*_off` ratio is gated at ≤ 1.05 in
+/// `scripts/bench_gates.tsv`. Measuring both sides in
 /// one process run cancels machine-speed noise out of the ratio.
 fn bench_host_profiler(suite: &mut BenchSuite) {
     let kernel = by_name("nn", KernelSize::Tiny).expect("nn");
@@ -255,15 +241,11 @@ fn bench_host_profiler(suite: &mut BenchSuite) {
 /// bench request is the map-heavy repeat kernel (`bench_request`): cold
 /// serves it from a fresh engine each rep (every detect → translate →
 /// map runs), warm serves it from one persistent engine (artifacts come
-/// from the cache, only the simulated phases run). `scripts/ci.sh`
-/// gates warm at ≤ 0.77× cold (≥ 1.3× episodes/sec).
+/// from the cache, only the simulated phases run).
+/// `scripts/bench_gates.tsv` gates warm at ≤ 0.77× cold (≥ 1.3×
+/// episodes/sec).
 fn bench_serve(suite: &mut BenchSuite) {
     use mesa_bench::serve::{bench_request, ServeEngine};
-    // The serving layer fast-forwards warmup by default in production
-    // use; pin it on for the pair and restore so other benches keep
-    // their configuration.
-    let was_ff = mesa_core::fast_forward_enabled();
-    mesa_core::set_fast_forward(true);
     let mut i = 0u64;
     suite.run("serve/repeat_kernel_cold", 48, || {
         let engine = ServeEngine::new();
@@ -283,7 +265,6 @@ fn bench_serve(suite: &mut BenchSuite) {
         black_box(r)
     });
     assert!(engine.stats().hits() > 0, "warm side must hit the shared cache");
-    mesa_core::set_fast_forward(was_ff);
 }
 
 fn main() {

@@ -2,8 +2,9 @@
 //!
 //! Usage: `cargo run --release -p mesa-bench --bin figures [-- <what> [size]]`
 //! where `<what>` is one of `table1 table2 fig11 fig12 fig13 fig14 fig15
-//! fig16 crossover trace all` (default `all`) and `size` is `tiny|small|large`
-//! (default `small`).
+//! fig16 crossover trace profile all` (default `all`) and `size` is
+//! `tiny|small|large` (default `small`). An unknown flag, name, or size is
+//! a typed usage error (exit status 2).
 //!
 //! `--jobs N` (or `MESA_JOBS=N`) fans the independent per-kernel
 //! simulations out over N worker threads; output is byte-identical for
@@ -34,7 +35,8 @@
 //! stays byte-comparable across worker counts.
 
 use mesa_bench as bench;
-use mesa_core::SystemConfig;
+use mesa_bench::cli::{self, CliError};
+use mesa_core::{EpisodeOpts, SystemConfig};
 use mesa_trace::host::{self, HostClock};
 use mesa_trace::{MetricsRegistry, RingTracer};
 use mesa_workloads::{by_name, KernelSize};
@@ -45,60 +47,89 @@ use mesa_workloads::{by_name, KernelSize};
 #[global_allocator]
 static ALLOC: mesa_trace::CountingAlloc = mesa_trace::CountingAlloc;
 
-fn main() {
-    let mut trace_path = std::env::var("MESA_TRACE").ok().filter(|p| !p.is_empty());
-    let mut profile_path = std::env::var("MESA_PROFILE").ok().filter(|p| !p.is_empty());
-    let mut host_path = std::env::var("MESA_HOST_PROFILE").ok().filter(|p| !p.is_empty());
-    let mut host_clock = std::env::var("MESA_HOST_CLOCK").ok().filter(|c| !c.is_empty());
-    let mut rest: Vec<String> = Vec::new();
-    let mut args = std::env::args().skip(1);
-    while let Some(a) = args.next() {
-        if a == "--trace" {
-            trace_path = args.next();
-        } else if let Some(p) = a.strip_prefix("--trace=") {
-            trace_path = Some(p.to_string());
-        } else if a == "--profile" {
-            profile_path = args.next();
-        } else if let Some(p) = a.strip_prefix("--profile=") {
-            profile_path = Some(p.to_string());
-        } else if a == "--host-profile" {
-            host_path.get_or_insert_with(|| "mesa_host.json".to_string());
-        } else if let Some(p) = a.strip_prefix("--host-profile=") {
-            host_path = Some(p.to_string());
-        } else if a == "--host-clock" {
-            host_clock = args.next();
-        } else if let Some(c) = a.strip_prefix("--host-clock=") {
-            host_clock = Some(c.to_string());
-        } else if a == "--jobs" {
-            set_jobs_arg(args.next().as_deref());
-        } else if let Some(n) = a.strip_prefix("--jobs=") {
-            set_jobs_arg(Some(n));
-        } else if a == "--fast-forward" {
-            mesa_core::set_fast_forward(true);
-        } else {
-            rest.push(a);
+/// The `<what>` names `figures` accepts.
+const WHATS: [&str; 12] = [
+    "all", "table1", "table2", "fig11", "fig12", "fig13", "fig14", "fig15", "fig16",
+    "crossover", "trace", "profile",
+];
+
+/// Parsed command line: environment defaults overridden by flags.
+struct Options {
+    trace_path: Option<String>,
+    profile_path: Option<String>,
+    host_path: Option<String>,
+    host_clock: host::ClockSpec,
+    what: &'static str,
+    size: KernelSize,
+}
+
+fn parse_args(args: &[String]) -> Result<Options, CliError> {
+    let env = |var: &str| std::env::var(var).ok().filter(|v| !v.is_empty());
+    let mut trace_path = env("MESA_TRACE");
+    let mut profile_path = env("MESA_PROFILE");
+    let mut host_path = env("MESA_HOST_PROFILE");
+    let mut host_clock = env("MESA_HOST_CLOCK");
+    // `--flag=value` is accepted wherever `--flag value` is.
+    let positional = cli::parse_flags(args, |flag| {
+        match flag.name {
+            "--trace" => trace_path = Some(flag.value()?.to_string()),
+            "--profile" => profile_path = Some(flag.value()?.to_string()),
+            "--host-profile" => match flag.inline() {
+                Some(p) => host_path = Some(p.to_string()),
+                None => {
+                    host_path.get_or_insert_with(|| "mesa_host.json".to_string());
+                }
+            },
+            "--host-clock" => host_clock = Some(flag.value()?.to_string()),
+            "--jobs" => bench::set_jobs(cli::parse_nonzero_usize(flag.name, flag.value()?)?),
+            _ => return Ok(false),
         }
-    }
-    // Env fallback for the fast-forward switch (set before any worker
-    // threads build their SystemConfigs).
-    if std::env::var("MESA_FASTFWD").is_ok_and(|v| v == "1") {
-        mesa_core::set_fast_forward(true);
-    }
+        Ok(true)
+    })?;
+    let default_what = if trace_path.is_some() || profile_path.is_some() { "capture" } else { "all" };
+    let (what, size) = match positional[..] {
+        [] => (default_what, KernelSize::Small),
+        [what] => (WHATS[cli::parse_choice("<what>", what, &WHATS)?], KernelSize::Small),
+        [what, size] => (
+            WHATS[cli::parse_choice("<what>", what, &WHATS)?],
+            cli::parse_size("[size]", size)?,
+        ),
+        [_, _, extra, ..] => return Err(CliError::new(extra, None, "unexpected extra argument")),
+    };
+    Ok(Options {
+        trace_path,
+        profile_path,
+        host_path,
+        host_clock: parse_host_clock(host_clock.as_deref())?,
+        what,
+        size,
+    })
+}
+
+fn main() -> std::process::ExitCode {
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    let Options { trace_path, profile_path, host_path, host_clock, what, size } =
+        match parse_args(&args) {
+            Ok(opts) => opts,
+            Err(e) => {
+                eprintln!("figures: {e}");
+                eprintln!(
+                    "usage: figures [--jobs N] [--trace PATH] [--profile PATH] \
+                     [--host-profile[=PATH]] [--host-clock real|mock[:STEP_NS]] \
+                     [{}] [tiny|small|large]",
+                    WHATS.join("|")
+                );
+                return std::process::ExitCode::from(2);
+            }
+        };
     // Wall clock + allocation counters back the always-on stderr
     // summary; the span profiler only engages under `--host-profile`.
     let mut wall = host::RealClock::new();
     mesa_trace::alloc::set_counting(true);
     if host_path.is_some() {
-        host::enable(parse_host_clock(host_clock.as_deref()));
+        host::enable(host_clock);
         host::install();
     }
-    let default_what = if trace_path.is_some() || profile_path.is_some() { "capture" } else { "all" };
-    let what = rest.first().map_or(default_what, String::as_str);
-    let size = match rest.get(1).map(String::as_str) {
-        Some("tiny") => KernelSize::Tiny,
-        Some("large") => KernelSize::Large,
-        _ => KernelSize::Small,
-    };
 
     let run = |name: &str| what == "all" || what == name;
 
@@ -162,18 +193,18 @@ fn main() {
         host::sim_cycles_total() as f64 / 1e6,
         alloc.peak_bytes as f64 / (1024.0 * 1024.0),
     );
+    std::process::ExitCode::SUCCESS
 }
 
 /// Parses `--host-clock`: `real` (default), `mock`, or `mock:STEP_NS`.
-fn parse_host_clock(value: Option<&str>) -> host::ClockSpec {
+fn parse_host_clock(value: Option<&str>) -> Result<host::ClockSpec, CliError> {
     match value {
-        None | Some("real") => host::ClockSpec::Real,
-        Some("mock") => host::ClockSpec::Mock { step_ns: 1_000 },
+        None | Some("real") => Ok(host::ClockSpec::Real),
+        Some("mock") => Ok(host::ClockSpec::Mock { step_ns: 1_000 }),
         Some(v) => match v.strip_prefix("mock:").and_then(|s| s.trim().parse::<u64>().ok()) {
-            Some(step_ns) => host::ClockSpec::Mock { step_ns },
+            Some(step_ns) => Ok(host::ClockSpec::Mock { step_ns }),
             None => {
-                eprintln!("--host-clock expects real, mock, or mock:STEP_NS (got {v:?})");
-                std::process::exit(2);
+                Err(CliError::new("--host-clock", Some(v), "expected real, mock, or mock:STEP_NS"))
             }
         },
     }
@@ -209,25 +240,12 @@ fn write_host_profile(path: &str) {
     eprintln!("host: wrote host profile to {path} and folded stacks to {folded_path}");
 }
 
-fn set_jobs_arg(value: Option<&str>) {
-    match value.and_then(|v| v.trim().parse::<usize>().ok()).filter(|&n| n > 0) {
-        Some(n) => bench::set_jobs(n),
-        None => {
-            eprintln!("--jobs expects a positive integer");
-            std::process::exit(2);
-        }
-    }
-}
-
 fn capture_trace(path: &str, size: KernelSize) {
     let kernel = by_name("nn", size).expect("nn is registered");
     let mut tracer = RingTracer::new(1 << 16);
-    let run = bench::mesa_offload_traced(
-        &kernel,
-        &SystemConfig::m128(),
-        bench::BASELINE_CORES,
-        &mut tracer,
-    );
+    let opts = EpisodeOpts { tracer: &mut tracer, ..EpisodeOpts::default() };
+    let system = SystemConfig::m128();
+    let run = bench::mesa_offload_with(&kernel, &system, bench::BASELINE_CORES, opts);
     // Write the artifacts before printing anything long, so a closed
     // stdout pipe can't lose them.
     let jsonl_path = format!("{path}.jsonl");
@@ -249,8 +267,9 @@ fn capture_trace(path: &str, size: KernelSize) {
 
 fn capture_profile(path: &str, size: KernelSize) {
     let kernel = by_name("nn", size).expect("nn is registered");
-    let (_, profile) =
-        bench::mesa_profile(&kernel, &SystemConfig::m128(), bench::BASELINE_CORES);
+    let system = SystemConfig::m128();
+    let run = bench::mesa_offload(&kernel, &system, bench::BASELINE_CORES);
+    let profile = run.profile(&kernel, &system);
     std::fs::write(path, profile.to_json()).unwrap_or_else(|e| panic!("writing {path}: {e}"));
     println!("== Profile: one nn offload episode on M-128 ==");
     println!("{}", profile.render());

@@ -5,7 +5,8 @@
 //! rejection reason printed instead of a silent fallthrough.
 //!
 //! Usage: `cargo run --release -p mesa-bench --bin inspect -- <kernel>
-//! [tiny|small|large] [--trace <path>] [--profile <path>] [--fast-forward]`
+//! [tiny|small|large] [--trace <path>] [--profile <path>]` (an unknown
+//! flag, kernel, or size is a typed usage error, exit status 2)
 //!
 //! `--trace <path>` (or `MESA_TRACE=<path>`) additionally writes a Chrome
 //! trace-event file of the controller episode to `<path>` and the raw
@@ -14,47 +15,54 @@
 //! report of the episode as JSON to `<path>` and prints its summary.
 
 use mesa_accel::{AccelConfig, Coord, SpatialAccelerator};
+use mesa_bench::cli::{self, CliError};
 use mesa_bench::region_ldfg;
 use mesa_core::{
-    analyze_memopts, build_accel_program, map_instructions, run_offload_traced, MapperConfig,
-    MesaError, OptFlags,
+    analyze_memopts, build_accel_program, map_instructions, run_offload_with, EpisodeOpts,
+    MapperConfig, MesaError, OptFlags,
 };
 use mesa_isa::OpClass;
 use mesa_mem::{MemConfig, MemorySystem};
 use mesa_profile::ProfileReport;
 use mesa_trace::{EventKind, RingTracer};
 use mesa_workloads::{by_name, KernelSize};
+use std::process::ExitCode;
 
-fn main() {
-    let mut trace_path = std::env::var("MESA_TRACE").ok().filter(|p| !p.is_empty());
-    let mut profile_path = std::env::var("MESA_PROFILE").ok().filter(|p| !p.is_empty());
-    let mut rest: Vec<String> = Vec::new();
-    let mut args = std::env::args().skip(1);
-    while let Some(a) = args.next() {
-        if a == "--trace" {
-            trace_path = args.next();
-        } else if let Some(p) = a.strip_prefix("--trace=") {
-            trace_path = Some(p.to_string());
-        } else if a == "--profile" {
-            profile_path = args.next();
-        } else if let Some(p) = a.strip_prefix("--profile=") {
-            profile_path = Some(p.to_string());
-        } else if a == "--fast-forward" {
-            mesa_core::set_fast_forward(true);
-        } else {
-            rest.push(a);
+/// Parsed command line: the kernel, its size, and the trace and profile
+/// paths (defaulting to `MESA_TRACE` / `MESA_PROFILE`).
+struct Options {
+    name: &'static str,
+    size: KernelSize,
+    trace_path: Option<String>,
+    profile_path: Option<String>,
+}
+
+fn parse_args(args: &[String]) -> Result<Options, CliError> {
+    let env = |var: &str| std::env::var(var).ok().filter(|v| !v.is_empty());
+    let (mut trace_path, mut profile_path) = (env("MESA_TRACE"), env("MESA_PROFILE"));
+    let positional = cli::parse_flags(args, |flag| {
+        match flag.name {
+            "--trace" => trace_path = Some(flag.value()?.to_string()),
+            "--profile" => profile_path = Some(flag.value()?.to_string()),
+            _ => return Ok(false),
         }
-    }
-    if std::env::var("MESA_FASTFWD").is_ok_and(|v| v == "1") {
-        mesa_core::set_fast_forward(true);
-    }
-    let name = rest.first().map_or("nn", String::as_str);
-    let size = match rest.get(1).map(String::as_str) {
-        Some("tiny") => KernelSize::Tiny,
-        Some("large") => KernelSize::Large,
-        _ => KernelSize::Small,
+        Ok(true)
+    })?;
+    let (name, size) = cli::parse_kernel_args(&positional)?;
+    Ok(Options { name, size, trace_path, profile_path })
+}
+
+fn main() -> ExitCode {
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    let Options { name, size, trace_path, profile_path } = match parse_args(&args) {
+        Ok(opts) => opts,
+        Err(e) => {
+            eprintln!("inspect: {e}");
+            eprintln!("usage: inspect [kernel] [tiny|small|large] [--trace PATH] [--profile PATH]");
+            return ExitCode::from(2);
+        }
     };
-    let kernel = by_name(name, size).expect("kernel exists");
+    let kernel = by_name(name, size).expect("parse_kernel_args accepts only registered kernels");
 
     // Full controller episode first: this is what the system would really
     // do, and it surfaces the rejection diagnostics for kernels that fail
@@ -64,8 +72,8 @@ fn main() {
     let mut sys_mem = MemorySystem::new(system.mem, 2);
     kernel.populate(sys_mem.data_mut());
     let mut sys_state = kernel.entry.clone();
-    let outcome =
-        run_offload_traced(&kernel.program, &mut sys_state, &mut sys_mem, &system, &mut tracer);
+    let opts = EpisodeOpts { tracer: &mut tracer, ..EpisodeOpts::default() };
+    let outcome = run_offload_with(&kernel.program, &mut sys_state, &mut sys_mem, &system, opts);
     match &outcome {
         Ok(report) => {
             println!(
@@ -80,14 +88,13 @@ fn main() {
                 report.cycles_per_iteration(),
                 report.reconfigurations,
             );
-            // CPU speed layers: macro-op fusion counters from the warmup
-            // pipeline, and how much of warmup ran at interpreter speed.
+            // CPU speed layer: macro-op fusion counters from the warmup
+            // pipeline.
             let fusion = &report.cpu_pipeline.fusion;
             println!(
-                "  cpu: {} warmup instrs ({} fast-forwarded, {} simulated);                  {} fused pairs ({:.1}% of retired; cmp+br {}, addr+ld {}, addr+st {}, alu+alu {})",
+                "  cpu: {} warmup instrs; {} fused pairs ({:.1}% of retired; \
+                 cmp+br {}, addr+ld {}, addr+st {}, alu+alu {})",
                 report.warmup_instrs,
-                report.ff_instrs,
-                report.warmup_instrs - report.ff_instrs,
                 fusion.fused_pairs(),
                 fusion.hit_rate(report.cpu_pipeline.retired) * 100.0,
                 fusion.cmp_branch,
@@ -150,7 +157,7 @@ fn main() {
             "{}: the loop region's LDFG cannot be built, nothing to map by hand",
             kernel.name
         );
-        return;
+        return ExitCode::SUCCESS;
     };
 
     let accel_cfg = AccelConfig::m128();
@@ -213,4 +220,5 @@ fn main() {
             ctr.avg_in(1).unwrap_or(0),
         );
     }
+    ExitCode::SUCCESS
 }

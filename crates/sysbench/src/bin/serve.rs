@@ -19,7 +19,7 @@
 //!   mesa-serve [--requests N] [--kernels K] [--jobs J] [--grid m64|m128|m512|m512w]
 //!              [--seed S] [--selfcheck] [--require-hits] [--quiet]
 //!              [--tenants K] [--migrate-every M] [--bench]
-//!              [--host-clock real|mock[:STEP_NS]] [--fast-forward]
+//!              [--host-clock real|mock[:STEP_NS]]
 
 use mesa_bench::cli::{self, CliError};
 use mesa_bench::serve::{bench_request, loadgen, one_shot, GridSpec, ServeEngine};
@@ -37,7 +37,7 @@ fn usage() {
         "usage: mesa-serve [--requests N] [--kernels K] [--jobs J] \
          [--grid m64|m128|m512|m512w] [--seed S] [--selfcheck] [--require-hits] [--quiet] \
          [--tenants K] [--migrate-every M] [--bench] \
-         [--host-clock real|mock[:STEP_NS]] [--fast-forward]"
+         [--host-clock real|mock[:STEP_NS]]"
     );
 }
 
@@ -124,7 +124,6 @@ fn parse_args(args: &[String]) -> Result<Options, CliError> {
             "--require-hits" => opts.require_hits = true,
             "--quiet" => opts.quiet = true,
             "--bench" => opts.bench = true,
-            "--fast-forward" => mesa_core::set_fast_forward(true),
             other => {
                 return Err(CliError {
                     flag: other.to_string(),
@@ -191,9 +190,6 @@ fn main() -> ExitCode {
             return ExitCode::from(2);
         }
     };
-    if std::env::var("MESA_FASTFWD").is_ok_and(|v| v == "1") {
-        mesa_core::set_fast_forward(true);
-    }
 
     if opts.bench {
         run_bench(&mut opts);

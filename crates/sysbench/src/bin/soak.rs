@@ -44,7 +44,7 @@ static ALLOC: mesa_trace::CountingAlloc = mesa_trace::CountingAlloc;
 fn usage() {
     eprintln!(
         "usage: soak --iters N [--seed S] [--tenants K] [--migrate-every M] \
-         [--fleetstats PATH] [--postmortem PATH] [--force-fault] [--fast-forward] \
+         [--fleetstats PATH] [--postmortem PATH] [--force-fault] \
          | soak --replay 0xSEED [--tenants K] [--migrate-every M]"
     );
 }
@@ -105,7 +105,6 @@ fn parse_args(args: &[String]) -> Result<Options, CliError> {
                     Some(cli::take_value(flag, args, &mut i)?.to_string());
             }
             "--force-fault" => opts.force_fault = true,
-            "--fast-forward" => mesa_core::set_fast_forward(true),
             other => {
                 return Err(CliError {
                     flag: other.to_string(),
@@ -214,10 +213,6 @@ fn main() -> ExitCode {
             return ExitCode::from(2);
         }
     };
-
-    if std::env::var("MESA_FASTFWD").is_ok_and(|v| v == "1") {
-        mesa_core::set_fast_forward(true);
-    }
 
     let mut agg = FleetAggregate::default();
     let mut failures = 0u64;

@@ -1,6 +1,6 @@
 //! CI-facing trace and benchmark validators.
 //!
-//! Two subcommands, both exiting non-zero with a diagnostic on failure:
+//! Subcommands, each exiting non-zero with a diagnostic on failure:
 //!
 //! * `tracecheck chrome <path>` — parses `<path>` as a Chrome trace-event
 //!   file (full JSON syntax check, no external parser), requires it to be
@@ -31,16 +31,8 @@
 //!   non-empty heatmap (`fires_total > 0`). The CPU-speed sections are
 //!   validated too: the four per-idiom fusion counters must sum to
 //!   `fused_pairs`, every fused pair must account for two retired
-//!   instructions (`2 × fused_pairs ≤ retired`), and the fast-forward
-//!   split must tile the retired count exactly
-//!   (`ff_instrs + simulated_instrs == retired`). Used by `scripts/ci.sh`
+//!   instructions (`2 × fused_pairs ≤ retired`). Used by `scripts/ci.sh`
 //!   as the profile smoke test.
-//! * `tracecheck figdiff <a.txt> <b.txt> <max_rel_err>` — compares the
-//!   `MEAN` speedup/energy rows of two captured `figures` fig11 outputs
-//!   column by column and fails when any column's relative difference
-//!   exceeds `max_rel_err` (`b` is the reference). Used by `scripts/ci.sh`
-//!   to check that a `MESA_FASTFWD=1` figures run reproduces the default
-//!   run's speedup table within the fast-forward model's error bound.
 //! * `tracecheck fleetstats <stats.json>` — validates a
 //!   `"schema":"mesa.fleetstats/v1"` export (from `soak --fleetstats` or
 //!   `FleetStats::to_json`): full JSON syntax check, exact occupancy
@@ -70,7 +62,6 @@ fn main() -> ExitCode {
         Some("benchgate") => check_benchgate(&args[1..]),
         Some("benchdiff") => check_benchdiff(&args[1..]),
         Some("profile") => check_profile(args.get(1).map_or("", String::as_str)),
-        Some("figdiff") => check_figdiff(&args[1..]),
         Some("fleetstats") => check_fleetstats(args.get(1).map_or("", String::as_str)),
         Some("postmortem") => check_postmortem(args.get(1).map_or("", String::as_str)),
         Some("hostprofile") => check_hostprofile(&args[1..]),
@@ -79,7 +70,6 @@ fn main() -> ExitCode {
              \x20      tracecheck benchgate <bench.json> <name_a> <name_b> <max_ratio>\n\
              \x20      tracecheck benchdiff <new.json> <baseline.json> <max_ratio> [name...]\n\
              \x20      tracecheck profile <report.json>\n\
-             \x20      tracecheck figdiff <a.txt> <b.txt> <max_rel_err>\n\
              \x20      tracecheck fleetstats <stats.json>\n\
              \x20      tracecheck postmortem <dump.json>\n\
              \x20      tracecheck hostprofile <host.json> [stacks.folded]"
@@ -267,88 +257,10 @@ fn check_profile(path: &str) -> Result<String, String> {
         ));
     }
 
-    // Fast-forward accounting: fast-forwarded and fully simulated
-    // instructions must tile the retired count exactly.
-    let ff_pos = compact
-        .find("\"fastfwd\":{")
-        .ok_or_else(|| format!("{path}: no \"fastfwd\" section"))?;
-    let ff_sub = &compact[ff_pos..];
-    let xfield = |key: &str| -> Result<u64, String> {
-        field_u64(ff_sub, key)
-            .ok_or_else(|| format!("{path}: fastfwd section has no field {key:?}"))
-    };
-    let (ff, simulated) = (xfield("ff_instrs")?, xfield("simulated_instrs")?);
-    if ff + simulated != retired {
-        return Err(format!(
-            "{path}: fast-forward split not conserved: ff_instrs={ff} + \
-             simulated_instrs={simulated} != retired = {retired}"
-        ));
-    }
-
     Ok(format!(
         "{path}: well-formed profile report, buckets sum to {total} cycles, \
-         {fused_pairs} fused pair(s) + {ff} fast-forwarded instr(s) conserved, {}",
+         {fused_pairs} fused pair(s) conserved, {}",
         if accepted { "offload accepted" } else { "offload declined" }
-    ))
-}
-
-/// Parses the fig11 `MEAN` row of a captured `figures` output: the four
-/// `<f64>x` columns (speedup M-128/M-512, energy M-128/M-512) before the
-/// `(paper: ...)` annotation. `None` when no such row exists.
-fn mean_row(text: &str) -> Option<Vec<f64>> {
-    for line in text.lines() {
-        let mut toks = line.split_whitespace();
-        if toks.next() != Some("MEAN") {
-            continue;
-        }
-        let vals: Vec<f64> = toks
-            .take_while(|t| !t.starts_with('('))
-            .filter_map(|t| t.strip_suffix('x')?.parse().ok())
-            .collect();
-        if !vals.is_empty() {
-            return Some(vals);
-        }
-    }
-    None
-}
-
-fn check_figdiff(args: &[String]) -> Result<String, String> {
-    let [a_path, b_path, max_err] = args else {
-        return Err("figdiff: expected <a.txt> <b.txt> <max_rel_err>".into());
-    };
-    let max_err: f64 = max_err
-        .parse()
-        .map_err(|e| format!("figdiff: bad max_rel_err {max_err:?}: {e}"))?;
-    let a_text = std::fs::read_to_string(a_path).map_err(|e| format!("reading {a_path}: {e}"))?;
-    let b_text = std::fs::read_to_string(b_path).map_err(|e| format!("reading {b_path}: {e}"))?;
-    let a = mean_row(&a_text).ok_or_else(|| format!("{a_path}: no fig11 MEAN row"))?;
-    let b = mean_row(&b_text).ok_or_else(|| format!("{b_path}: no fig11 MEAN row"))?;
-    if a.len() != b.len() {
-        return Err(format!(
-            "MEAN rows have {} vs {} column(s) ({a_path} vs {b_path})",
-            a.len(),
-            b.len()
-        ));
-    }
-    let mut worst = 0.0f64;
-    for (i, (&x, &y)) in a.iter().zip(&b).enumerate() {
-        let rel = (x - y).abs() / y.abs().max(f64::MIN_POSITIVE);
-        if rel > max_err {
-            return Err(format!(
-                "MEAN column {i}: {x:.3} vs {y:.3} differ by {:.1}% \
-                 (> {:.1}% allowed)",
-                rel * 100.0,
-                max_err * 100.0
-            ));
-        }
-        worst = worst.max(rel);
-    }
-    Ok(format!(
-        "{a_path} vs {b_path}: {} MEAN column(s) agree within {:.1}% \
-         (worst {:.1}%)",
-        a.len(),
-        max_err * 100.0,
-        worst * 100.0
     ))
 }
 
@@ -731,17 +643,6 @@ mod tests {
         assert_eq!(median_ns(text, "a/b"), Some(125.5));
         assert_eq!(median_ns(text, "c"), Some(3.0));
         assert_eq!(median_ns(text, "missing"), None);
-    }
-
-    #[test]
-    fn mean_row_parses_fig11_columns() {
-        let text = "== Fig. 11 ==\n\
-                    nn                 1.10x    1.50x      1.60x      1.70x\n\
-                    MEAN               1.33x    1.81x      1.86x      1.92x   (paper: ...)\n";
-        assert_eq!(mean_row(text), Some(vec![1.33, 1.81, 1.86, 1.92]));
-        // GEOMEAN rows and outputs without a MEAN row don't match.
-        assert_eq!(mean_row("GEOMEAN 1.42x 1.86x 2.01x   (paper: ...)\n"), None);
-        assert_eq!(mean_row(""), None);
     }
 
     #[test]

@@ -1,14 +1,17 @@
 //! Typed command-line validation shared by the harness binaries.
 //!
-//! `soak`, `mesa-top`, and `mesa-serve` all parse their flags by hand (the
-//! repo is zero-dependency). Before this module each binary silently fell
+//! The harness binaries all parse their flags by hand (the repo is
+//! zero-dependency). Before this module each binary silently fell
 //! back to its usage string on any malformed value, which conflated "you
 //! typed `--replay 0xZZ`" with "you forgot an argument" and made the
 //! failure untestable. These helpers return a typed [`CliError`] naming
 //! the flag, the offending value, and the reason; binaries print it and
 //! exit with status 2 (the conventional usage-error code, distinct from
-//! the divergence/failure exit 1).
+//! the divergence/failure exit 1). [`parse_flags`] is the one flag loop
+//! of `figures`, `inspect` and `profile`: each binary maps only its own
+//! flags, and unknown ones are rejected in one place.
 
+use mesa_workloads::KernelSize;
 use std::fmt;
 
 /// A rejected command-line argument: which flag, what value, and why.
@@ -23,7 +26,8 @@ pub struct CliError {
 }
 
 impl CliError {
-    fn new(flag: &str, value: Option<&str>, reason: impl Into<String>) -> Self {
+    /// An error for `flag` (and its offending `value`, if any).
+    pub fn new(flag: &str, value: Option<&str>, reason: impl Into<String>) -> Self {
         CliError {
             flag: flag.to_string(),
             value: value.map(str::to_string),
@@ -113,6 +117,96 @@ pub fn parse_choice(flag: &str, value: &str, choices: &[&str]) -> Result<usize, 
     })
 }
 
+/// Parses a kernel size (`tiny|small|large`).
+///
+/// # Errors
+/// Returns a [`CliError`] listing the valid sizes.
+pub fn parse_size(flag: &str, value: &str) -> Result<KernelSize, CliError> {
+    let sizes = [KernelSize::Tiny, KernelSize::Small, KernelSize::Large];
+    Ok(sizes[parse_choice(flag, value, &["tiny", "small", "large"])?])
+}
+
+/// Parses the `[kernel] [size]` positionals of the single-kernel tools
+/// (`inspect`, `profile`), defaulting to `nn` at `small`.
+///
+/// # Errors
+/// Returns a [`CliError`] for an unregistered kernel (listing
+/// [`mesa_workloads::KERNEL_NAMES`]), an unknown size, or an extra
+/// argument.
+pub fn parse_kernel_args(positional: &[&str]) -> Result<(&'static str, KernelSize), CliError> {
+    let kernel = |name| {
+        parse_choice("[kernel]", name, &mesa_workloads::KERNEL_NAMES)
+            .map(|i| mesa_workloads::KERNEL_NAMES[i])
+    };
+    match *positional {
+        [] => Ok(("nn", KernelSize::Small)),
+        [name] => Ok((kernel(name)?, KernelSize::Small)),
+        [name, size] => Ok((kernel(name)?, parse_size("[size]", size)?)),
+        [_, _, extra, ..] => Err(CliError::new(extra, None, "unexpected extra argument")),
+    }
+}
+
+/// One `--flag` (or `--flag=value`) handed to a [`parse_flags`] callback.
+pub struct Flag<'a, 'i> {
+    /// The flag without any inline value (e.g. `--trace`).
+    pub name: &'a str,
+    inline: Option<&'a str>,
+    args: &'a [String],
+    i: &'i mut usize,
+}
+
+impl<'a> Flag<'a, '_> {
+    /// The flag's value: the inline `=value`, else the next argument.
+    ///
+    /// # Errors
+    /// Returns a [`CliError`] when there is no inline value and the flag
+    /// is the last argument.
+    pub fn value(&mut self) -> Result<&'a str, CliError> {
+        match self.inline {
+            Some(v) => Ok(v),
+            None => take_value(self.name, self.args, self.i),
+        }
+    }
+
+    /// The inline `=value` only, for flags whose value is optional.
+    #[must_use]
+    pub fn inline(&self) -> Option<&'a str> {
+        self.inline
+    }
+}
+
+/// Walks `args` with the grammar shared by the harness binaries: every
+/// `--flag value` / `--flag=value` goes to `on_flag`, everything else is
+/// returned as a positional. `on_flag` returns `Ok(false)` for a flag it
+/// does not know, which becomes a typed "unknown flag" error.
+///
+/// # Errors
+/// The first error `on_flag` returns, or an unknown flag.
+pub fn parse_flags<'a>(
+    args: &'a [String],
+    mut on_flag: impl FnMut(&mut Flag<'a, '_>) -> Result<bool, CliError>,
+) -> Result<Vec<&'a str>, CliError> {
+    let mut positional = Vec::new();
+    let mut i = 0;
+    while i < args.len() {
+        let a = args[i].as_str();
+        if a.starts_with("--") {
+            let (name, inline) = match a.split_once('=') {
+                Some((name, v)) => (name, Some(v)),
+                None => (a, None),
+            };
+            let mut flag = Flag { name, inline, args, i: &mut i };
+            if !on_flag(&mut flag)? {
+                return Err(CliError::new(name, None, "unknown flag"));
+            }
+        } else {
+            positional.push(a);
+        }
+        i += 1;
+    }
+    Ok(positional)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -162,6 +256,34 @@ mod tests {
         let err = take_value("--replay", &args, &mut i).unwrap_err();
         assert_eq!(err.flag, "--replay");
         assert!(err.to_string().contains("missing required value"));
+    }
+
+    #[test]
+    fn sizes_and_kernels_are_validated() {
+        assert_eq!(parse_size("[size]", "large").unwrap(), KernelSize::Large);
+        assert!(parse_size("[size]", "huge").unwrap_err().to_string().contains("tiny"));
+        assert_eq!(parse_kernel_args(&[]).unwrap(), ("nn", KernelSize::Small));
+        assert_eq!(parse_kernel_args(&["bfs", "tiny"]).unwrap(), ("bfs", KernelSize::Tiny));
+        assert!(parse_kernel_args(&["bogus"]).is_err());
+        assert!(parse_kernel_args(&["nn", "tiny", "extra"]).is_err());
+    }
+
+    #[test]
+    fn flags_take_inline_or_next_values_and_unknown_flags_are_errors() {
+        let args: Vec<String> =
+            ["nn", "--trace=t.json", "--out", "p.json", "tiny"].map(String::from).to_vec();
+        let mut seen = Vec::new();
+        let positional = parse_flags(&args, |flag| {
+            seen.push((flag.name, flag.value()?));
+            Ok(true)
+        })
+        .unwrap();
+        assert_eq!(positional, ["nn", "tiny"]);
+        assert_eq!(seen, [("--trace", "t.json"), ("--out", "p.json")]);
+        let err = parse_flags(&args, |_| Ok(false)).unwrap_err();
+        assert_eq!(err.to_string(), "--trace: unknown flag");
+        let last: Vec<String> = vec!["--out".into()];
+        assert!(parse_flags(&last, |flag| flag.value().map(|_| true)).is_err());
     }
 
     #[test]

@@ -2,16 +2,13 @@
 //! 16-core multicore baseline, and the MESA system, collecting cycles and
 //! memory-hierarchy activity in the form the energy model consumes.
 
-use mesa_accel::FaultPlan;
-use mesa_core::{
-    run_offload_faulted_traced, run_offload_traced, Ldfg, MesaError, OffloadReport, SystemConfig,
-};
+use mesa_core::{run_offload_with, EpisodeOpts, Ldfg, MesaError, OffloadReport, SystemConfig};
 use mesa_cpu::{CoreConfig, Multicore, NullMonitor, OoOCore, RunLimits};
 use mesa_mem::{MemConfig, MemTraffic, MemorySystem};
 use mesa_power::MemActivity;
 use mesa_profile::ProfileReport;
 use mesa_trace::host;
-use mesa_trace::{NullTracer, Subsystem, Tracer};
+use mesa_trace::Subsystem;
 use mesa_workloads::Kernel;
 
 /// Result of a CPU-only (single or multicore) measurement.
@@ -49,6 +46,32 @@ pub struct MesaRun {
     /// Why the offload was declined, when it was (`Rejected` carries the
     /// C1–C3 reason). `None` whenever `report` is `Some`.
     pub declined: Option<MesaError>,
+    /// The MESA memory system's traffic counters at episode end (on the
+    /// fallback path, those of the declined attempt).
+    pub end_traffic: MemTraffic,
+}
+
+impl MesaRun {
+    /// The run's bottleneck-attribution [`ProfileReport`]: top-down
+    /// CPU-phase accounting, the per-PE heatmap, the measured critical
+    /// path, and the F3 re-optimization rounds. A declined run yields a
+    /// minimal report carrying the decline reason.
+    #[must_use]
+    pub fn profile(&self, kernel: &Kernel, system: &SystemConfig) -> ProfileReport {
+        match &self.report {
+            Some(report) => ProfileReport::from_offload(
+                kernel.name,
+                report,
+                system,
+                region_ldfg(kernel).as_ref(),
+                Some(&self.end_traffic),
+            ),
+            None => {
+                let reason = self.declined.as_ref().map(ToString::to_string).unwrap_or_default();
+                ProfileReport::declined(kernel.name, system, &reason)
+            }
+        }
+    }
 }
 
 fn traffic_activity(t: &MemTraffic) -> MemActivity {
@@ -122,119 +145,49 @@ pub fn cpu_multicore(kernel: &Kernel, n: usize) -> BaselineRun {
 /// deployment would do.
 #[must_use]
 pub fn mesa_offload(kernel: &Kernel, system: &SystemConfig, fallback_cores: usize) -> MesaRun {
-    mesa_offload_traced(kernel, system, fallback_cores, &mut NullTracer)
+    mesa_offload_with(kernel, system, fallback_cores, EpisodeOpts::default())
 }
 
-/// [`mesa_offload`] with an observer: the controller's phase spans land in
-/// `tracer`, bracketed by a harness-level `harness.mesa_offload` span, and
-/// a `harness.fallback` instant marks rejected episodes.
+/// [`mesa_offload`] with the general episode options.
+///
+/// A tracer in `opts` receives the controller's phase spans bracketed by
+/// a harness-level `harness.mesa_offload` span, and a `harness.fallback`
+/// instant marks declined episodes. Under a fault plan the episode either
+/// recovers (correct results, fault events in the report) or declines and
+/// falls back to the host multicore; it never panics.
 #[must_use]
-pub fn mesa_offload_traced(
+pub fn mesa_offload_with(
     kernel: &Kernel,
     system: &SystemConfig,
     fallback_cores: usize,
-    tracer: &mut dyn Tracer,
+    opts: EpisodeOpts<'_>,
 ) -> MesaRun {
-    episode(kernel, system, fallback_cores, tracer, false, None).0
-}
-
-/// [`mesa_offload`] under an armed fault-injection plan: the episode
-/// either recovers (correct results, fault events in the report) or
-/// declines and falls back to the host multicore. Never panics.
-#[must_use]
-pub fn mesa_offload_faulted(
-    kernel: &Kernel,
-    system: &SystemConfig,
-    fallback_cores: usize,
-    plan: &FaultPlan,
-) -> MesaRun {
-    episode(kernel, system, fallback_cores, &mut NullTracer, false, Some(plan)).0
-}
-
-/// [`mesa_offload_faulted`] with an observer: injected faults surface as
-/// instants on the `fault` subsystem timeline alongside the controller's
-/// phase spans.
-#[must_use]
-pub fn mesa_offload_faulted_traced(
-    kernel: &Kernel,
-    system: &SystemConfig,
-    fallback_cores: usize,
-    plan: &FaultPlan,
-    tracer: &mut dyn Tracer,
-) -> MesaRun {
-    episode(kernel, system, fallback_cores, tracer, false, Some(plan)).0
-}
-
-/// Runs the kernel under the MESA system and assembles the full
-/// bottleneck-attribution [`ProfileReport`] alongside the measurement:
-/// top-down CPU-phase accounting, the per-PE heatmap, the measured
-/// critical path, and the F3 re-optimization rounds. Declined episodes
-/// yield a minimal report carrying the decline reason.
-#[must_use]
-pub fn mesa_profile(
-    kernel: &Kernel,
-    system: &SystemConfig,
-    fallback_cores: usize,
-) -> (MesaRun, ProfileReport) {
-    mesa_profile_traced(kernel, system, fallback_cores, &mut NullTracer)
-}
-
-/// [`mesa_profile`] with an observer (see [`mesa_offload_traced`]).
-#[must_use]
-pub fn mesa_profile_traced(
-    kernel: &Kernel,
-    system: &SystemConfig,
-    fallback_cores: usize,
-    tracer: &mut dyn Tracer,
-) -> (MesaRun, ProfileReport) {
-    let (run, profile) = episode(kernel, system, fallback_cores, tracer, true, None);
-    (run, profile.expect("profile requested"))
-}
-
-/// One MESA episode with optional profile-report assembly. The interval
-/// snapshots the report needs (CPU-phase pipeline counters and traffic,
-/// episode-end traffic) are sampled here, where the memory system is
-/// still in scope.
-fn episode(
-    kernel: &Kernel,
-    system: &SystemConfig,
-    fallback_cores: usize,
-    tracer: &mut dyn Tracer,
-    want_profile: bool,
-    plan: Option<&FaultPlan>,
-) -> (MesaRun, Option<ProfileReport>) {
     // Host-side episode span: the controller opens its per-phase
     // children (detect/translate/map/configure/offload) beneath it.
     let host_episode = host::span("episode");
     let mut mem = MemorySystem::new(system.mem, 2);
     kernel.populate(mem.data_mut());
     let mut state = kernel.entry.clone();
+    let EpisodeOpts { tracer, faults, shared } = opts;
     tracer.span_begin(Subsystem::Harness, "harness.mesa_offload", 0);
-    let outcome = match plan {
-        Some(plan) => {
-            run_offload_faulted_traced(&kernel.program, &mut state, &mut mem, system, plan, tracer)
-        }
-        None => run_offload_traced(&kernel.program, &mut state, &mut mem, system, tracer),
-    };
-    let (run, profile) = match outcome {
+    let controller_opts = EpisodeOpts { tracer: &mut *tracer, faults, shared };
+    let outcome = run_offload_with(&kernel.program, &mut state, &mut mem, system, controller_opts);
+    let end_traffic = mem.traffic();
+    let run = match outcome {
         Ok(report) => {
-            let profile = want_profile.then(|| {
-                ProfileReport::from_offload(
-                    kernel.name,
-                    &report,
-                    system,
-                    region_ldfg(kernel).as_ref(),
-                    Some(&mem.traffic()),
-                )
-            });
             let cycles = report.total_cycles();
             let total = mem_activity(&mem);
             let cpu_mem = traffic_activity(&report.cpu_phase_traffic);
             let accel_mem = activity_minus(&total, &cpu_mem);
-            (
-                MesaRun { report: Some(report), cycles, mem: total, cpu_mem, accel_mem, declined: None },
-                profile,
-            )
+            MesaRun {
+                report: Some(report),
+                cycles,
+                mem: total,
+                cpu_mem,
+                accel_mem,
+                declined: None,
+                end_traffic,
+            }
         }
         // Every decline — including config-stream rejections and
         // accelerator validation failures injected by fault plans — falls
@@ -248,19 +201,15 @@ fn episode(
                 &format!("{}: offload declined, ran on {fallback_cores}-core host", kernel.name),
                 0,
             );
-            let profile =
-                want_profile.then(|| ProfileReport::declined(kernel.name, system, &e.to_string()));
-            (
-                MesaRun {
-                    report: None,
-                    cycles: fb.cycles,
-                    mem: fb.mem,
-                    cpu_mem: fb.mem,
-                    accel_mem: MemActivity::default(),
-                    declined: Some(e),
-                },
-                profile,
-            )
+            MesaRun {
+                report: None,
+                cycles: fb.cycles,
+                mem: fb.mem,
+                cpu_mem: fb.mem,
+                accel_mem: MemActivity::default(),
+                declined: Some(e),
+                end_traffic,
+            }
         }
     };
     tracer.span_end(Subsystem::Harness, "harness.mesa_offload", run.cycles);
@@ -268,7 +217,7 @@ fn episode(
     // Process-global throughput counters behind the figures/soak
     // wall-clock summary lines (always on; two relaxed atomic adds).
     host::record_episode(run.cycles);
-    (run, profile)
+    run
 }
 
 /// Extracts the hot-loop region of a kernel as an [`Ldfg`] (for the
@@ -303,6 +252,7 @@ pub fn geomean(values: &[f64]) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use mesa_accel::FaultPlan;
     use mesa_workloads::{by_name, KernelSize};
 
     #[test]
@@ -363,7 +313,8 @@ mod tests {
     fn traced_harness_run_brackets_controller_spans() {
         let k = by_name("nn", KernelSize::Tiny).unwrap();
         let mut tracer = mesa_trace::RingTracer::new(4096);
-        let r = mesa_offload_traced(&k, &SystemConfig::m128(), 4, &mut tracer);
+        let opts = EpisodeOpts { tracer: &mut tracer, ..EpisodeOpts::default() };
+        let r = mesa_offload_with(&k, &SystemConfig::m128(), 4, opts);
         assert!(r.report.is_some());
         assert!(tracer.open_spans().is_empty(), "all spans closed");
         let summary = mesa_trace::validate_chrome_trace(&tracer.to_chrome_trace()).unwrap();
@@ -372,11 +323,16 @@ mod tests {
         }
     }
 
+    fn faulted(k: &Kernel, plan: &FaultPlan) -> MesaRun {
+        let opts = EpisodeOpts { faults: Some(plan), ..EpisodeOpts::default() };
+        mesa_offload_with(k, &SystemConfig::m128(), 4, opts)
+    }
+
     #[test]
     fn config_stream_fault_falls_back_instead_of_panicking() {
         let k = by_name("nn", KernelSize::Tiny).unwrap();
         let plan = FaultPlan { truncate_config: Some(2), ..FaultPlan::none() };
-        let r = mesa_offload_faulted(&k, &SystemConfig::m128(), 4, &plan);
+        let r = faulted(&k, &plan);
         assert!(r.report.is_none(), "truncated config must decline");
         assert!(
             matches!(r.declined, Some(mesa_core::MesaError::ConfigStream(_))),
@@ -391,7 +347,7 @@ mod tests {
     fn survivable_fault_plan_keeps_the_offload() {
         let k = by_name("nn", KernelSize::Tiny).unwrap();
         let plan = FaultPlan { bus_drop_period: 4, ..FaultPlan::none() };
-        let r = mesa_offload_faulted(&k, &SystemConfig::m128(), 4, &plan);
+        let r = faulted(&k, &plan);
         assert!(r.report.is_some(), "bus drops are survivable: {:?}", r.declined);
     }
 

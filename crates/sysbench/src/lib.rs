@@ -21,9 +21,8 @@ pub use figures::{
     BASELINE_CORES,
 };
 pub use harness::{
-    cpu_multicore, cpu_single, geomean, mesa_offload, mesa_offload_faulted,
-    mesa_offload_faulted_traced, mesa_offload_traced, mesa_profile, mesa_profile_traced,
-    region_ldfg, BaselineRun, MesaRun,
+    cpu_multicore, cpu_single, geomean, mesa_offload, mesa_offload_with, region_ldfg, BaselineRun,
+    MesaRun,
 };
 pub use kernelgen::{
     controller_episode, differential_episode, tenant_jobs, tenants_episode,

@@ -17,14 +17,13 @@
 
 use crate::kernelgen::{tenant_jobs, ARR_A, ARR_OUT};
 use mesa_core::{
-    run_offload_shared, run_offload_traced, run_tenants_fleet_shared, ArtifactCacheStats,
-    FleetRun, SharedArtifactCache, SystemConfig, TenantJob,
+    run_offload_with, run_tenants, ArtifactCacheStats, EpisodeOpts, FleetRun, SharedArtifactCache,
+    SystemConfig, TenantJob,
 };
 use mesa_isa::reg::abi::*;
 use mesa_isa::{ArchState, Asm, Program, Xlen};
 use mesa_mem::MemorySystem;
 use mesa_test::{splitmix64, Rng};
-use mesa_trace::NullTracer;
 use mesa_workloads::{by_name, KernelSize};
 use std::sync::Arc;
 
@@ -242,13 +241,8 @@ fn run_request(req: &ServeRequest, cache: Option<&Arc<SharedArtifactCache>>) -> 
             }
         }
     };
-    let mut tracer = NullTracer;
-    let result = match cache {
-        Some(cache) => {
-            run_offload_shared(&program, &mut state, &mut mem, &system, cache, &mut tracer)
-        }
-        None => run_offload_traced(&program, &mut state, &mut mem, &system, &mut tracer),
-    };
+    let opts = EpisodeOpts { shared: cache, ..EpisodeOpts::default() };
+    let result = run_offload_with(&program, &mut state, &mut mem, &system, opts);
     let (ok, accel_iterations, accel_cycles) = match &result {
         Ok(r) => (true, r.accel_iterations, r.accel_cycles),
         Err(_) => (false, 0, 0),
@@ -261,12 +255,11 @@ fn run_request(req: &ServeRequest, cache: Option<&Arc<SharedArtifactCache>>) -> 
     // report is proven field-for-field by the mesa-core controller tests.
     let render = match &result {
         Ok(r) => format!(
-            "{label} grid={} warmup={}/{}ff cfg={:?} overlap={}/{} reconf={}/{} \
+            "{label} grid={} warmup={} cfg={:?} overlap={}/{} reconf={}/{} \
              accel={}c/{}i tiles={} pipe={} unmapped={} exp={} est={} cached={} \
              reopt={} tenant={} migr={} || {state:?}",
             req.grid.name(),
             r.warmup_cycles,
-            r.ff_instrs,
             r.config,
             r.config_phase_cpu_cycles,
             r.cpu_iterations_during_config,
@@ -358,14 +351,8 @@ impl ServeEngine {
         let system = SystemConfig::m128();
         let (quantum, named) = tenant_jobs(seed, tenants);
         let mut jobs: Vec<TenantJob> = named.into_iter().map(|(_, j)| j).collect();
-        run_tenants_fleet_shared(
-            &system,
-            &mut jobs,
-            quantum,
-            migrate_every,
-            &mut NullTracer,
-            &self.cache,
-        )
+        let opts = EpisodeOpts { shared: Some(&self.cache), ..EpisodeOpts::default() };
+        run_tenants(&system, &mut jobs, quantum, migrate_every, opts)
     }
 }
 

@@ -51,13 +51,13 @@ trace_tmp="$(mktemp -t mesa_trace.XXXXXX.json)"
 profile_tmp="$(mktemp -t mesa_profile.XXXXXX.json)"
 fig_j1="$(mktemp -t mesa_fig_j1.XXXXXX.txt)"
 fig_j2="$(mktemp -t mesa_fig_j2.XXXXXX.txt)"
-fig_ff="$(mktemp -t mesa_fig_ff.XXXXXX.txt)"
+fig_small="$(mktemp -t mesa_fig_small.XXXXXX.txt)"
 bench_tmp="$(mktemp -t mesa_bench.XXXXXX.json)"
 fleet_tmp="$(mktemp -t mesa_fleet.XXXXXX.json)"
 pm_tmp="$(mktemp -t mesa_postmortem.XXXXXX.json)"
 host_j1="$(mktemp -t mesa_host_j1.XXXXXX.json)"
 host_j2="$(mktemp -t mesa_host_j2.XXXXXX.json)"
-trap 'rm -f "$trace_tmp" "$trace_tmp.jsonl" "$profile_tmp" "$fig_j1" "$fig_j2" "$fig_ff" \
+trap 'rm -f "$trace_tmp" "$trace_tmp.jsonl" "$profile_tmp" "$fig_j1" "$fig_j2" "$fig_small" \
   "$bench_tmp" "$fleet_tmp" "$pm_tmp" \
   "$host_j1" "$host_j1.folded" "$host_j2" "$host_j2.folded"' EXIT
 cargo run --release --offline -q -p mesa-bench --bin figures -- trace tiny --trace "$trace_tmp"
@@ -115,15 +115,22 @@ cmp "$serve_j1" "$serve_j2"
 rm -f "$serve_j1" "$serve_j2"
 echo "mesa-serve --jobs 1 and --jobs 2 responses are byte-identical"
 
-# CLI-validation smoke: malformed or out-of-range flag values must be
-# rejected with a typed error naming the flag and value, and exit 2 —
-# not be silently misparsed or crash.
+# CLI-validation smoke: unknown flags, names and sizes, and malformed or
+# out-of-range flag values must be rejected with a typed error naming the
+# flag and value, and exit 2 — not be silently ignored, misparsed, or crash.
 for bad in \
   "soak --replay 0xZZ" \
   "soak --tenants 0" \
   "mesa-serve --tenants 0" \
   "mesa-serve --grid m1024" \
-  "mesa-top --every 0"; do
+  "mesa-top --every 0" \
+  "figures --fast-forward" \
+  "figures bogus tiny" \
+  "figures all huge" \
+  "inspect --fast-forward" \
+  "inspect bogus" \
+  "profile --fast-forward" \
+  "profile nn tiny --out"; do
   # shellcheck disable=SC2086
   set -- $bad
   bin="$1"
@@ -146,19 +153,15 @@ cargo run --release --offline -q -p mesa-bench --bin figures -- --jobs 2 all tin
 cmp "$fig_j1" "$fig_j2"
 echo "figures --jobs 1 and --jobs 2 outputs are byte-identical"
 
-# Fast-forward smoke: the full figure run under MESA_FASTFWD=1 (CPU
-# warmup phases run functionally with calibrated cycle estimates instead
-# of cycle-accurate simulation) must reproduce the fig11 speedup table's
-# MEAN row within the fast-forward model's error bound. The warmup quanta
-# are short, so the CPI-model estimate is coarser here than the sampled
-# hybrid's sub-4% kernel-level error — 0.35 covers the observed worst
-# column (~0.19) with margin while still catching an estimator that
-# drifts into a different regime.
-MESA_FASTFWD=1 cargo run --release --offline -q -p mesa-bench --bin figures -- \
-  --jobs 2 fig11 tiny > "$fig_ff"
-cargo run --release --offline -q -p mesa-bench --bin tracecheck -- figdiff \
-  "$fig_ff" "$fig_j1" 0.35
-echo "fast-forward smoke: MESA_FASTFWD=1 fig11 MEAN row within tolerance"
+# Golden-file check: the committed figures_output.txt must be exactly what
+# a fresh `figures all small` prints. A change that moves any figure must
+# regenerate the file in the same commit:
+#   cargo run --release --offline -q -p mesa-bench --bin figures -- \
+#     --jobs 2 all small > figures_output.txt
+cargo run --release --offline -q -p mesa-bench --bin figures -- \
+  --jobs 2 all small > "$fig_small"
+cmp "$fig_small" figures_output.txt
+echo "figures all small matches the committed figures_output.txt"
 
 # Host-profile smoke: a figures subset under the deterministic mock
 # clock must emit a valid mesa.hostprofile/v1 export (exact span-tree
@@ -182,66 +185,21 @@ echo "host-profile smoke: mock-clock export is conserved and --jobs invariant"
 # so the absolute diff against the committed baseline gets a loose ratio
 # (override with MAX_RATIO=...) and up to three attempts — a genuine
 # regression fails every attempt, a loaded-box blip passes a retry. The
-# tracer-vs-engine gate compares two numbers from the same run (common-
-# mode noise cancels), so it stays tight and single-shot.
+# ratio gates compare two numbers from the same run (common-mode noise
+# cancels), so they stay tight and single-shot.
 MESA_BENCH_OUT="$bench_tmp" cargo bench --offline -p mesa-bench --bench components
 
-# (1) The NullTracer fast path through the traced engine entry point must
-#     stay within noise of the untraced path.
-cargo run --release --offline -q -p mesa-bench --bin tracecheck -- benchgate \
-  "$bench_tmp" \
-  tracer/null_engine_nn_on_m128 \
-  engine/nn_512_iterations_on_m128 \
-  1.15
+# Same-run ratio gates: one row each in scripts/bench_gates.tsv.
+grep -vE '^(#|$)' scripts/bench_gates.tsv | while IFS=$'\t' read -r candidate reference ratio; do
+  cargo run --release --offline -q -p mesa-bench --bin tracecheck -- benchgate \
+    "$bench_tmp" "$candidate" "$reference" "$ratio" < /dev/null
+done
 
-# (2) Virtualizing the fabric must stay cheap for the solo case: a
-#     single-tenant session through the FabricManager (admission, band
-#     placement, session bookkeeping) within 10% of the raw engine run.
-cargo run --release --offline -q -p mesa-bench --bin tracecheck -- benchgate \
-  "$bench_tmp" \
-  fabric/nn_single_tenant_session_on_m128 \
-  engine/nn_512_iterations_on_m128 \
-  1.10
-
-# (3) The host span profiler must be effectively free when wrapped
-#     around a full offload episode: profiled vs unprofiled from the
-#     same run, within 5%.
-cargo run --release --offline -q -p mesa-bench --bin tracecheck -- benchgate \
-  "$bench_tmp" \
-  host/offload_nn_on_m128_profiled \
-  host/offload_nn_on_m128_off \
-  1.05
-
-# (4) CPU speed gates, both same-run ratios against the unfused
-#     cycle-accurate pathfinder run so common-mode noise cancels: the
-#     macro-op fused decode path must deliver >= 1.33x wall-clock
-#     (ratio <= 0.75, measured ~0.70), and the hybrid fast-forward core
-#     must deliver >= 2.5x (ratio <= 0.40, measured ~0.32).
-cargo run --release --offline -q -p mesa-bench --bin tracecheck -- benchgate \
-  "$bench_tmp" \
-  ooo_core/pathfinder_fused \
-  ooo_core/pathfinder_tiny_to_halt \
-  0.75
-cargo run --release --offline -q -p mesa-bench --bin tracecheck -- benchgate \
-  "$bench_tmp" \
-  cpu/pathfinder_full_fastfwd \
-  ooo_core/pathfinder_tiny_to_halt \
-  0.40
-
-# (5) Serving gate, same-run warm-vs-cold pair: a repeat kernel served
-#     from the warm shared artifact cache must deliver >= 1.3x
-#     episodes/sec over the cold path (ratio <= 0.77, measured ~0.61).
-cargo run --release --offline -q -p mesa-bench --bin tracecheck -- benchgate \
-  "$bench_tmp" \
-  serve/repeat_kernel_warm \
-  serve/repeat_kernel_cold \
-  0.77
-
-# (6) No component's median may regress past MAX_RATIO of the committed
-#     baseline (bench_diff.sh's 1.15 default is for quiet machines), and
-#     the fabric virtualization benches get a tighter leash
-#     (FABRIC_MAX_RATIO, default 1.05): the telemetry instrumentation
-#     added to the session/checkpoint paths must stay in the noise.
+# No component's median may regress past MAX_RATIO of the committed
+# baseline (bench_diff.sh's 1.15 default is for quiet machines), and the
+# fabric virtualization benches get a tighter leash (FABRIC_MAX_RATIO,
+# default 1.05): the telemetry instrumentation added to the
+# session/checkpoint paths must stay in the noise.
 for attempt in 1 2 3; do
   if cargo run --release --offline -q -p mesa-bench --bin tracecheck -- benchdiff \
        "$bench_tmp" BENCH_components.json "${MAX_RATIO:-1.5}" \

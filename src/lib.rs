@@ -63,7 +63,8 @@ pub use mesa_workloads as workloads;
 pub mod prelude {
     pub use mesa_accel::{AccelConfig, AccelProgram, SpatialAccelerator};
     pub use mesa_core::{
-        run_offload, run_offload_traced, MesaController, MesaError, OffloadReport, SystemConfig,
+        run_offload, run_offload_with, EpisodeOpts, MesaController, MesaError, OffloadReport,
+        SystemConfig,
     };
     pub use mesa_cpu::{CoreConfig, Multicore, OoOCore, RunLimits};
     pub use mesa_isa::{ArchState, Asm, Instruction, Program, Reg, Xlen};

@@ -7,9 +7,7 @@
 //! process-global (`mesa_bench::set_jobs`), so splitting this into several
 //! `#[test]`s would race on it.
 
-use mesa::core::{
-    run_tenants, run_tenants_fleet, FleetStats, OffloadReport, SystemConfig, TenantJob,
-};
+use mesa::core::{EpisodeOpts, FleetStats, OffloadReport, SystemConfig, TenantJob};
 use mesa::isa::reg::abi::*;
 use mesa::isa::{ArchState, Asm, Xlen};
 use mesa::mem::{MemConfig, MemorySystem};
@@ -57,17 +55,21 @@ fn figures_identical_for_any_worker_count() {
     bench::set_jobs(0);
 }
 
+/// An untraced, uncached fleet run.
+fn run_tenants(
+    system: &SystemConfig,
+    jobs: &mut [TenantJob],
+    quantum: u64,
+    migrate_every: u64,
+) -> mesa::core::FleetRun {
+    mesa::core::run_tenants(system, jobs, quantum, migrate_every, EpisodeOpts::default())
+}
+
 /// One full fleet run over the three synthetic tenants, exported as the
 /// stable fleetstats JSON.
 fn fleet_stats_json() -> String {
     let mut jobs = vec![tenant_job(0, 2000), tenant_job(1, 1500), tenant_job(2, 2600)];
-    let run = run_tenants_fleet(
-        &SystemConfig::m128(),
-        &mut jobs,
-        180,
-        0,
-        &mut mesa::trace::NullTracer,
-    );
+    let run = run_tenants(&SystemConfig::m128(), &mut jobs, 180, 0);
     run.stats.to_json()
 }
 
@@ -150,7 +152,7 @@ fn concurrent_tenants_match_sequential_solo_runs_in_any_order() {
     let mut solo_states = Vec::new();
     for &(kind, n) in &shapes {
         let mut jobs = vec![tenant_job(kind, n)];
-        let mut reports = run_tenants(&system, &mut jobs, QUANTUM, 0);
+        let mut reports = run_tenants(&system, &mut jobs, QUANTUM, 0).outcomes;
         let report = reports.pop().unwrap().expect("solo tenant offloads");
         solo_reports.push(normalized(&report));
         solo_states.push(format!("{:?}", jobs[0].state));
@@ -160,7 +162,7 @@ fn concurrent_tenants_match_sequential_solo_runs_in_any_order() {
     for order in [[0usize, 1, 2], [2, 1, 0], [1, 2, 0]] {
         let mut jobs: Vec<TenantJob> =
             order.iter().map(|&i| tenant_job(shapes[i].0, shapes[i].1)).collect();
-        let reports = run_tenants(&system, &mut jobs, QUANTUM, 0);
+        let reports = run_tenants(&system, &mut jobs, QUANTUM, 0).outcomes;
 
         // All three really shared the grid: pairwise disjoint bands.
         let regions: Vec<_> = reports
@@ -210,8 +212,7 @@ fn fleet_stats_equal_fold_of_solo_runs_in_any_order() {
     let mut fold = FleetStats::default();
     for &(kind, n) in &shapes {
         let mut jobs = vec![tenant_job(kind, n)];
-        let run =
-            run_tenants_fleet(&system, &mut jobs, QUANTUM, 0, &mut mesa::trace::NullTracer);
+        let run = run_tenants(&system, &mut jobs, QUANTUM, 0);
         assert!(run.outcomes[0].is_ok(), "solo tenant offloads");
         fold.merge(&run.stats);
     }
@@ -219,7 +220,7 @@ fn fleet_stats_equal_fold_of_solo_runs_in_any_order() {
     let shared = |order: [usize; 3]| {
         let mut jobs: Vec<TenantJob> =
             order.iter().map(|&i| tenant_job(shapes[i].0, shapes[i].1)).collect();
-        run_tenants_fleet(&system, &mut jobs, QUANTUM, 0, &mut mesa::trace::NullTracer)
+        run_tenants(&system, &mut jobs, QUANTUM, 0)
     };
 
     // Determinism: replaying the same admission order reproduces the

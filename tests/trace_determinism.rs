@@ -7,10 +7,10 @@
 //! additionally checks that the ring tracer keeps span begin/end events
 //! balanced under arbitrary interleavings.
 
-use mesa::core::SystemConfig;
+use mesa::core::{EpisodeOpts, SystemConfig};
 use mesa::trace::{RingTracer, Subsystem, Tracer};
 use mesa::workloads::{by_name, KernelSize};
-use mesa_bench::mesa_offload_traced;
+use mesa_bench::mesa_offload_with;
 use mesa_test::{forall, prop_assert, prop_assert_eq, Checker, Rng};
 
 const REGRESSIONS: &str =
@@ -23,7 +23,8 @@ fn checker(name: &str) -> Checker {
 fn traced_nn_run() -> RingTracer {
     let kernel = by_name("nn", KernelSize::Tiny).expect("nn");
     let mut tracer = RingTracer::new(1 << 16);
-    let run = mesa_offload_traced(&kernel, &SystemConfig::m128(), 4, &mut tracer);
+    let opts = EpisodeOpts { tracer: &mut tracer, ..EpisodeOpts::default() };
+    let run = mesa_offload_with(&kernel, &SystemConfig::m128(), 4, opts);
     assert!(run.report.is_some(), "nn must accelerate");
     tracer
 }
@@ -32,13 +33,8 @@ fn traced_faulted_nn_run(seed: u64) -> (RingTracer, Option<u64>) {
     let kernel = by_name("nn", KernelSize::Tiny).expect("nn");
     let plan = mesa::accel::FaultPlan::from_seed(seed, 4, 8);
     let mut tracer = RingTracer::new(1 << 16);
-    let run = mesa_bench::mesa_offload_faulted_traced(
-        &kernel,
-        &SystemConfig::m128(),
-        4,
-        &plan,
-        &mut tracer,
-    );
+    let opts = EpisodeOpts { tracer: &mut tracer, faults: Some(&plan), shared: None };
+    let run = mesa_offload_with(&kernel, &SystemConfig::m128(), 4, opts);
     (tracer, run.report.map(|r| r.faults.total()))
 }
 
@@ -89,9 +85,10 @@ fn cycle_timestamps_are_monotone_per_subsystem_span_stack() {
 fn same_run_exports_byte_identical_profile_reports() {
     let profile = || {
         let kernel = by_name("nn", KernelSize::Tiny).expect("nn");
-        let (run, profile) = mesa_bench::mesa_profile(&kernel, &SystemConfig::m128(), 4);
+        let system = SystemConfig::m128();
+        let run = mesa_offload_with(&kernel, &system, 4, EpisodeOpts::default());
         assert!(run.report.is_some(), "nn must accelerate");
-        profile
+        run.profile(&kernel, &system)
     };
     let a = profile();
     let b = profile();

@@ -8,6 +8,7 @@ use mesa::cpu::{CoreConfig, OoOCore};
 use mesa::isa::reg::abi::*;
 use mesa::isa::{ArchState, Asm, Program, Xlen};
 use mesa::mem::{MemConfig, MemorySystem};
+use mesa::trace::NullTracer;
 
 const A: u64 = 0x10_0000;
 const B: u64 = 0x20_0000;
@@ -60,7 +61,8 @@ fn both_hot_loops_offload_in_one_run() {
     let mut controller = MesaController::new(SystemConfig::m128());
     let mut cpu = OoOCore::new(CoreConfig::boom_baseline());
 
-    let report = controller.run_program(&program, &mut st, &mut mem, &mut cpu, 10_000_000);
+    let report =
+        controller.run_program(&program, &mut st, &mut mem, &mut cpu, 10_000_000, &mut NullTracer);
     assert!(report.halted, "program must reach its exit");
     assert_eq!(report.offloads.len(), 2, "both loops offload: {report:?}");
     assert!(report.rejections.is_empty());
@@ -97,7 +99,8 @@ fn reencountered_loop_hits_the_config_cache() {
     let (mut st, mut mem) = fresh_system();
     let mut controller = MesaController::new(SystemConfig::m128());
     let mut cpu = OoOCore::new(CoreConfig::boom_baseline());
-    let report = controller.run_program(&program, &mut st, &mut mem, &mut cpu, 10_000_000);
+    let report =
+        controller.run_program(&program, &mut st, &mut mem, &mut cpu, 10_000_000, &mut NullTracer);
 
     assert!(report.halted);
     // The copy loop offloads at least twice; the second time from cache.
@@ -139,7 +142,8 @@ fn rejected_inner_loop_is_blacklisted_and_program_completes() {
     let (mut st, mut mem) = fresh_system();
     let mut controller = MesaController::new(SystemConfig::m128());
     let mut cpu = OoOCore::new(CoreConfig::boom_baseline());
-    let report = controller.run_program(&program, &mut st, &mut mem, &mut cpu, 10_000_000);
+    let report =
+        controller.run_program(&program, &mut st, &mut mem, &mut cpu, 10_000_000, &mut NullTracer);
 
     assert!(report.halted, "{report:?}");
     assert!(
