@@ -1,8 +1,10 @@
 //! Cycle-level dataflow execution engine for the spatial accelerator.
 //!
 //! Each configured node fires once per loop iteration when its inputs are
-//! available (the dataflow model of paper §3.1). Values are computed with
-//! the exact ISA semantics from `mesa-isa`; timing follows the fabric:
+//! available (the dataflow model of paper §3.1). A compute or branch node
+//! runs its instruction's [`PureOp`], lowered once per run from the
+//! `mesa-isa` value function the CPU's `step` also uses, so PE and CPU
+//! values agree bit for bit; timing follows the fabric:
 //! single-cycle neighbor links, a contended half-ring NoC, a shared
 //! fallback bus for unplaced nodes, and load/store entries that keep
 //! original program order for stores while loads may run ahead, with
@@ -18,7 +20,7 @@ use crate::{
     AccelConfig, AccelProgram, ActivityStats, Coord, HalfRingModel, LatencyModel, NodeConfig,
     Operand, PerfCounters, ProgramError, Region,
 };
-use mesa_isa::{step, ArchState, Instruction, MemoryIo, OpClass, Outcome, Reg, Xlen};
+use mesa_isa::{ArchState, MemoryIo, OpClass, PureOp, Reg, Xlen};
 use mesa_mem::MemorySystem;
 use mesa_trace::{NullTracer, Subsystem, Tracer};
 use std::fmt;
@@ -183,10 +185,8 @@ struct TileState {
 }
 
 /// Per-iteration working buffers, allocated once per [`SpatialAccelerator::run_session`]
-/// call and reused across every `run_iteration` of every tile. The engine
-/// previously allocated four fresh `Vec`s plus two `ArchState`s per node
-/// fire per iteration; with hundreds of iterations per offload that
-/// dominated the run time. Buffers are reset with `fill`/`clear` at each
+/// call and reused across every `run_iteration` of every tile, so a node
+/// firing allocates nothing. Buffers are reset with `fill`/`clear` at each
 /// iteration start, which preserves the exact semantics of fresh
 /// zero-initialized allocations.
 #[derive(Debug)]
@@ -196,18 +196,15 @@ struct IterScratch {
     branch_taken: Vec<bool>,
     /// (node index, address, width, data_complete) per store seen so far.
     stores_seen: Vec<(usize, u64, u8, u64)>,
-    /// Scratch architectural state for PE value evaluation.
-    eval_state: ArchState,
 }
 
 impl IterScratch {
-    fn new(n: usize, xlen: Xlen) -> Self {
+    fn new(n: usize) -> Self {
         IterScratch {
             cur_value: vec![0; n],
             cur_complete: vec![0; n],
             branch_taken: vec![false; n],
             stores_seen: Vec::new(),
-            eval_state: ArchState::new(0, xlen),
         }
     }
 
@@ -246,13 +243,15 @@ enum OpPlan {
 }
 
 /// Per-node execution plan: everything about a node that is invariant
-/// across iterations (tile-scaled instruction, opcode class, memory access
-/// shape, operand routes), computed once per tile per run so the
-/// per-iteration loop performs no coordinate math, latency-model dispatch,
-/// or opcode-property lookups.
+/// across iterations (executable op, opcode class, memory access shape,
+/// operand routes), computed once per tile per run so the per-iteration
+/// loop performs no coordinate math, latency-model dispatch, opcode-property
+/// lookups, or register staging.
 #[derive(Debug, Clone)]
 struct NodePlan {
-    effective: Instruction,
+    /// The tile-scaled instruction lowered to its pure executable form
+    /// (loads and stores use only its immediate).
+    op: PureOp,
     class: OpClass,
     inputs: [OpPlan; 2],
     hidden: OpPlan,
@@ -266,8 +265,10 @@ struct NodePlan {
 
 /// Resolves one pre-planned operand to `(value, ready_time_at_consumer,
 /// transfer_cycles)` — the last is what the per-edge latency counters
-/// record (paper §5.2).
-#[inline]
+/// record (paper §5.2). Forced inline: it runs up to three times per node
+/// firing, and as an out-of-line eight-argument call it cost more than the
+/// operand work itself.
+#[inline(always)]
 #[allow(clippy::too_many_arguments)]
 fn resolve_operand(
     op: &OpPlan,
@@ -584,17 +585,17 @@ impl SpatialAccelerator {
             start_cycles = 0;
         }
         let unlimited_ports = self.cfg.mem_ports >= usize::MAX / 2;
-        let mut scratch = IterScratch::new(n, xlen);
+        let mut scratch = IterScratch::new(n);
 
-        // Static per-tile node plans (coords, routes, tile-scaled
-        // instructions): resolved once here, reused every iteration. The
+        // Static per-tile node plans (coords, routes, lowered tile-scaled
+        // ops): resolved once here, reused every iteration. The
         // region offset shifts every placement into the owned row band.
         let plans: Vec<Vec<NodePlan>> = (0..tiles)
             .map(|t| {
                 let row_offset = region.first_row + t * rows_per_tile;
                 prog.nodes
                     .iter()
-                    .map(|node| self.plan_node(prog, node, row_offset, tiles))
+                    .map(|node| self.plan_node(prog, node, row_offset, tiles, xlen))
                     .collect()
             })
             .collect();
@@ -753,6 +754,7 @@ impl SpatialAccelerator {
         node: &NodeConfig,
         row_offset: usize,
         tiles: usize,
+        xlen: Xlen,
     ) -> NodePlan {
         let consumer = node.coord.map(|c| Coord::new(c.row + row_offset, c.col));
         let mut effective = node.instr;
@@ -760,7 +762,7 @@ impl SpatialAccelerator {
             effective.imm = node.instr.imm.wrapping_mul(tiles as i64);
         }
         NodePlan {
-            effective,
+            op: PureOp::lower(&effective, xlen),
             class: node.instr.class(),
             inputs: [
                 self.plan_operand(prog, &node.inputs[0], consumer, row_offset),
@@ -795,8 +797,7 @@ impl SpatialAccelerator {
         let base = if prog.pipelined { 0 } else { tile.last_complete };
 
         scratch.reset();
-        let IterScratch { cur_value, cur_complete, branch_taken, stores_seen, eval_state } =
-            scratch;
+        let IterScratch { cur_value, cur_complete, branch_taken, stores_seen } = scratch;
         let mut iteration_complete = 0u64;
 
         for (i, node) in prog.nodes.iter().enumerate() {
@@ -844,11 +845,11 @@ impl SpatialAccelerator {
             // ---- execute ----
             let complete = match plan.class {
                 OpClass::Load => self.do_load(
-                    i, node, plan, v1, ready, tile, fabric, mem, requester, unlimited_ports,
-                    first_iter, stores_seen, cur_complete, activity, cur_value,
+                    i, node, plan, v1, ready, fabric, mem, requester, unlimited_ports, first_iter,
+                    stores_seen, cur_complete, activity, cur_value,
                 ),
                 OpClass::Store => {
-                    let addr = v1.wrapping_add(plan.effective.imm as u64);
+                    let addr = v1.wrapping_add(plan.op.imm() as u64);
                     let width = plan.mem_width;
                     // Program-order store commit (the LDFG keeps ordering).
                     let mut start = ready.max(tile.last_store_start + 1);
@@ -863,15 +864,14 @@ impl SpatialAccelerator {
                     start + 1
                 }
                 OpClass::Branch => {
-                    let taken = eval_branch(eval_state, &plan.effective, v1, v2);
+                    let taken = plan.op.taken(v1, v2);
                     branch_taken[i] = taken;
                     activity.int_ops += 1;
                     activity.pe_busy_cycles += 1;
                     ready + 1
                 }
                 _ => {
-                    let value = eval_compute(eval_state, &plan.effective, v1, v2);
-                    cur_value[i] = value;
+                    cur_value[i] = plan.op.eval(v1, v2);
                     let lat = plan.base_latency;
                     if plan.class.needs_fp() {
                         activity.fp_ops += 1;
@@ -912,7 +912,6 @@ impl SpatialAccelerator {
         plan: &NodePlan,
         base_value: u64,
         ready: u64,
-        _tile: &mut TileState,
         fabric: &mut Fabric,
         mem: &mut MemorySystem,
         requester: usize,
@@ -923,7 +922,7 @@ impl SpatialAccelerator {
         activity: &mut ActivityStats,
         cur_value: &mut [u64],
     ) -> u64 {
-        let addr = base_value.wrapping_add(plan.effective.imm as u64);
+        let addr = base_value.wrapping_add(plan.op.imm() as u64);
         let width = plan.mem_width;
 
         // Functional value (stores earlier in program order already applied).
@@ -997,95 +996,12 @@ impl SpatialAccelerator {
 
 }
 
-/// Prepares the shared scratch [`ArchState`] so an evaluation on it is
-/// indistinguishable from one on a fresh zeroed state: the PC is reset
-/// (AUIPC/JAL read it, `step` advances it) and every register the
-/// instruction can read is written. Compute nodes read only their encoded
-/// sources (`rs1`/`rs2`/`rs3`), so stale values elsewhere are unobservable.
-#[inline]
-fn stage_eval_state(st: &mut ArchState, instr: &Instruction, v1: u64, v2: u64) {
-    st.pc = 0;
-    if let Some(r) = instr.rs3 {
-        st.write(r, 0);
-    }
-    if let Some(r) = instr.rs1 {
-        st.write(r, v1);
-    }
-    if let Some(r) = instr.rs2 {
-        st.write(r, v2);
-    }
-}
-
-/// Evaluates a conditional branch's direction with exact ISA semantics.
-/// A non-branch outcome can only come from a malformed configuration; it
-/// is treated as not-taken (fall through) rather than panicking mid-run.
-fn eval_branch(st: &mut ArchState, instr: &Instruction, v1: u64, v2: u64) -> bool {
-    stage_eval_state(st, instr, v1, v2);
-    let mut nomem = NoMemory;
-    match step(st, instr, &mut nomem).outcome {
-        Outcome::Branch { taken, .. } => taken,
-        _ => false,
-    }
-}
-
-/// Evaluates a non-memory, non-branch node with exact ISA semantics.
-fn eval_compute(st: &mut ArchState, instr: &Instruction, v1: u64, v2: u64) -> u64 {
-    stage_eval_state(st, instr, v1, v2);
-    let mut nomem = NoMemory;
-    step(st, instr, &mut nomem);
-    instr.rd.map_or(0, |rd| st.read(rd))
-}
-
-/// Memory stub for pure compute evaluation; PEs never touch memory. A
-/// misclassified node (only reachable through a malformed configuration)
-/// reads zeros and discards stores instead of panicking mid-run.
-struct NoMemory;
-
-impl MemoryIo for NoMemory {
-    fn load(&mut self, _addr: u64, _width: u8) -> u64 {
-        0
-    }
-    fn store(&mut self, _addr: u64, _width: u8, _value: u64) {}
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mesa_isa::{Opcode};
+    use mesa_isa::{Instruction, Opcode};
     use mesa_isa::reg::abi::*;
     use mesa_mem::MemConfig;
-
-    /// Fresh-state branch evaluation — the pre-optimization implementation,
-    /// kept as the oracle for the scratch-reuse equivalence property.
-    fn eval_branch_fresh(instr: &Instruction, v1: u64, v2: u64, xlen: Xlen) -> bool {
-        let mut st = ArchState::new(0, xlen);
-        let mut nomem = NoMemory;
-        if let Some(r) = instr.rs1 {
-            st.write(r, v1);
-        }
-        if let Some(r) = instr.rs2 {
-            st.write(r, v2);
-        }
-        match step(&mut st, instr, &mut nomem).outcome {
-            Outcome::Branch { taken, .. } => taken,
-            other => unreachable!("branch evaluated to {other:?}"),
-        }
-    }
-
-    /// Fresh-state compute evaluation — the pre-optimization implementation,
-    /// kept as the oracle for the scratch-reuse equivalence property.
-    fn eval_compute_fresh(instr: &Instruction, v1: u64, v2: u64, xlen: Xlen) -> u64 {
-        let mut st = ArchState::new(0, xlen);
-        let mut nomem = NoMemory;
-        if let Some(r) = instr.rs1 {
-            st.write(r, v1);
-        }
-        if let Some(r) = instr.rs2 {
-            st.write(r, v2);
-        }
-        step(&mut st, instr, &mut nomem);
-        instr.rd.map_or(0, |rd| st.read(rd))
-    }
 
     fn node(pc: u64, instr: Instruction, coord: (usize, usize), inputs: [Operand; 2]) -> NodeConfig {
         NodeConfig::new(pc, instr, Some(Coord::new(coord.0, coord.1)), inputs)
@@ -1493,104 +1409,6 @@ mod tests {
         let pf = accel.execute(&prog, &entry, &mut mem, 0, 10_000).unwrap();
         assert!(pf.activity.prefetch_hits > 0);
         assert!(pf.cycles <= plain.cycles);
-    }
-
-    /// The scratch-reuse evaluators must be indistinguishable from the
-    /// fresh-state originals for any instruction, *including* after the
-    /// scratch state has been polluted by a long random sequence of prior
-    /// evaluations (stale registers, advanced PC).
-    #[test]
-    fn scratch_eval_matches_fresh_oracle_on_random_programs() {
-        use mesa_test::{forall, prop_assert_eq, Checker};
-
-        // Compute ops across every class the PE path can see: integer ALU,
-        // mul/div, upper-immediate (reads PC via AUIPC), FP including the
-        // three-source FMA family (exercises the rs3 staging).
-        const COMPUTE: &[Opcode] = &[
-            Opcode::Add, Opcode::Sub, Opcode::Sll, Opcode::Slt, Opcode::Sltu,
-            Opcode::Xor, Opcode::Srl, Opcode::Sra, Opcode::Or, Opcode::And,
-            Opcode::Addi, Opcode::Xori, Opcode::Andi, Opcode::Slli, Opcode::Srli,
-            Opcode::Mul, Opcode::Mulh, Opcode::Div, Opcode::Rem,
-            Opcode::Lui, Opcode::Auipc,
-            Opcode::FaddS, Opcode::FsubS, Opcode::FmulS, Opcode::FdivS,
-            Opcode::FminS, Opcode::FsgnjS, Opcode::FeqS, Opcode::FltS,
-        ];
-        const BRANCHES: &[Opcode] =
-            &[Opcode::Beq, Opcode::Bne, Opcode::Blt, Opcode::Bge, Opcode::Bltu, Opcode::Bgeu];
-        const FMA: &[Opcode] =
-            &[Opcode::FmaddS, Opcode::FmsubS, Opcode::FnmaddS, Opcode::FnmsubS];
-
-        fn instr_for(sel: u64, imm: i64) -> Instruction {
-            let fp_reg = |n: u64| Reg::f((n % 8) as u8);
-            let int_reg = |n: u64| Reg::x((1 + n % 7) as u8);
-            let pick = (sel >> 8) as usize;
-            match sel % 3 {
-                0 => {
-                    let op = COMPUTE[pick % COMPUTE.len()];
-                    let reg = |n: u64| if op.class().needs_fp() { fp_reg(n) } else { int_reg(n) };
-                    match op {
-                        Opcode::Lui | Opcode::Auipc => {
-                            Instruction::upper(op, int_reg(sel >> 20), imm << 12)
-                        }
-                        Opcode::Addi | Opcode::Xori | Opcode::Andi | Opcode::Slli
-                        | Opcode::Srli => Instruction::reg_imm(
-                            op,
-                            int_reg(sel >> 20),
-                            int_reg(sel >> 26),
-                            if matches!(op, Opcode::Slli | Opcode::Srli) { imm & 31 } else { imm },
-                        ),
-                        Opcode::FeqS | Opcode::FltS => Instruction::reg3(
-                            op,
-                            int_reg(sel >> 20),
-                            fp_reg(sel >> 26),
-                            fp_reg(sel >> 32),
-                        ),
-                        _ => Instruction::reg3(op, reg(sel >> 20), reg(sel >> 26), reg(sel >> 32)),
-                    }
-                }
-                1 => {
-                    let op = FMA[pick % FMA.len()];
-                    Instruction::reg4(
-                        op,
-                        fp_reg(sel >> 20),
-                        fp_reg(sel >> 26),
-                        fp_reg(sel >> 32),
-                        fp_reg(sel >> 38),
-                    )
-                }
-                _ => {
-                    let op = BRANCHES[pick % BRANCHES.len()];
-                    Instruction::branch(op, int_reg(sel >> 20), int_reg(sel >> 26), 8)
-                }
-            }
-        }
-
-        forall!(
-            Checker::new("engine::scratch_eval_matches_fresh").cases(64),
-            |(seed in 0u64..u64::MAX, len in 4usize..40)| {
-                let mut shared = ArchState::new(0, Xlen::Rv32);
-                let mut sel = seed;
-                for k in 0..len {
-                    // Cheap xorshift so each step sees a different instruction.
-                    sel ^= sel << 13;
-                    sel ^= sel >> 7;
-                    sel ^= sel << 17;
-                    let imm = ((sel >> 40) as i64 & 0x7FF) - 1024;
-                    let instr = instr_for(sel, imm);
-                    let v1 = sel.wrapping_mul(0x9E37_79B9_7F4A_7C15);
-                    let v2 = sel.rotate_left(17) ^ 0xABCD_EF01;
-                    if instr.op.is_branch() {
-                        let got = eval_branch(&mut shared, &instr, v1, v2);
-                        let want = eval_branch_fresh(&instr, v1, v2, Xlen::Rv32);
-                        prop_assert_eq!(got, want, "step {} instr {}", k, instr);
-                    } else {
-                        let got = eval_compute(&mut shared, &instr, v1, v2);
-                        let want = eval_compute_fresh(&instr, v1, v2, Xlen::Rv32);
-                        prop_assert_eq!(got, want, "step {} instr {}", k, instr);
-                    }
-                }
-            }
-        );
     }
 
     #[test]

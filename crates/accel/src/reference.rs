@@ -2,18 +2,19 @@
 //! oracle for the optimized engine in [`crate::engine`].
 //!
 //! The fast engine pre-resolves static per-tile `NodePlan`s, reuses dense
-//! scratch buffers across iterations, and shares one evaluation
-//! `ArchState`. Those are exactly the optimizations a silent bug could
-//! hide in, so this module re-implements the execution semantics with
-//! none of them: every iteration allocates fresh buffers, every operand
-//! re-derives its coordinates, route, and latency from the [`NodeConfig`]
-//! it came from, and every value evaluation runs on a fresh architectural
-//! state. Timing rules (fabric booking order, store commit chain,
-//! forwarding, violations, predication) follow the same definitions, so
-//! the two implementations must agree bit-for-bit on architectural
-//! results, iteration counts, cycle totals, latency counters, and
-//! activity statistics. [`run_differential`] executes both over cloned
-//! memory systems and reports the first mismatching field.
+//! scratch buffers across iterations, and evaluates nodes through
+//! pre-lowered `PureOp`s. Those are exactly the optimizations a silent
+//! bug could hide in, so this module re-implements the execution
+//! semantics with none of them: every iteration allocates fresh
+//! buffers, every operand re-derives its coordinates, route, and latency
+//! from the [`NodeConfig`] it came from, and every value evaluation runs
+//! `step` on a fresh architectural state. Timing rules (fabric booking
+//! order, store commit chain, forwarding, violations, predication)
+//! follow the same definitions, so the two implementations must agree
+//! bit-for-bit on architectural results, iteration counts, cycle totals,
+//! latency counters, and activity statistics. [`run_differential`]
+//! executes both over cloned memory systems and reports the first
+//! mismatching field.
 
 use crate::engine::VIOLATION_REDO;
 use crate::faults::{FaultLog, FaultPlan, BUS_DROP_PENALTY};

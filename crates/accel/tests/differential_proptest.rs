@@ -393,3 +393,203 @@ fn engines_agree_across_all_grids_for_one_kernel() {
         }
     });
 }
+
+/// Builds a random kernel whose dependence chain exercises what
+/// [`random_program`]'s five RV32 integer ops leave out: single-precision
+/// FP (`fadd/fsub/fmul/fdiv/fsqrt/fmin/fmax.s`), `mul/div/rem` (zero
+/// divisors included, since the chain values are arbitrary), same-register
+/// sources (`add t1, t2, t2`, `fmul.s ft1, ft2, ft2`), and the X/F
+/// crossings between them (`fcvt.s.w`, `fcvt.w.s`, `fmv.x.w`, `feq.s`).
+/// An `flw` feeds the FP side and the closing store writes either file.
+/// Kept separate from [`random_program`] so that generator's seeds keep
+/// meaning the same cases.
+fn random_mixed_program(seed: u64, grid_cols: usize) -> AccelProgram {
+    use mesa_isa::Reg;
+    let mut rng = Rng::seed_from_u64(seed);
+    let mut nodes: Vec<NodeConfig> = Vec::new();
+    let coord = |rng: &mut Rng| {
+        rng.gen_bool(0.85)
+            .then(|| Coord::new(rng.gen_range(0..4), rng.gen_range(0..grid_cols)))
+    };
+    let pc = |idx: usize| 0x1000 + 4 * idx as u64;
+    let carried_self = |idx: u32, via: Reg| Operand::Node { idx, carried: true, via };
+    let from = |idx: u32, via: Reg| Operand::Node { idx, carried: false, via };
+
+    // node 0: address induction a0 += 4.
+    nodes.push(NodeConfig::new(
+        pc(0),
+        Instruction::reg_imm(Opcode::Addi, A0, A0, 4),
+        coord(&mut rng),
+        [carried_self(0, A0), Operand::None],
+    ));
+    // Integer and FP loads from the current address.
+    let mut ints = Vec::new();
+    let mut fps = Vec::new();
+    for (op, rd) in [(Opcode::Lw, T3), (Opcode::Flw, FT3)] {
+        let idx = nodes.len() as u32;
+        nodes.push(NodeConfig::new(
+            pc(idx as usize),
+            Instruction::load(op, rd, A0, 0),
+            coord(&mut rng),
+            [from(0, A0), Operand::None],
+        ));
+        if op == Opcode::Lw { ints.push(idx) } else { fps.push(idx) }
+    }
+    // Carried accumulators, one per register file.
+    let t1 = nodes.len() as u32;
+    nodes.push(NodeConfig::new(
+        pc(t1 as usize),
+        Instruction::reg_imm(Opcode::Addi, T1, T1, 3),
+        coord(&mut rng),
+        [carried_self(t1, T1), Operand::None],
+    ));
+    ints.push(t1);
+    let ft1 = nodes.len() as u32;
+    nodes.push(NodeConfig::new(
+        pc(ft1 as usize),
+        Instruction::reg3(Opcode::FaddS, FT1, FT1, FT2),
+        coord(&mut rng),
+        [carried_self(ft1, FT1), Operand::InitReg(FT2)],
+    ));
+    fps.push(ft1);
+
+    const INT2: &[Opcode] = &[
+        Opcode::Add, Opcode::Sub, Opcode::Mul, Opcode::Mulh, Opcode::Mulhu, Opcode::Div,
+        Opcode::Divu, Opcode::Rem, Opcode::Remu, Opcode::Sltu,
+    ];
+    const FP2: &[Opcode] = &[
+        Opcode::FaddS, Opcode::FsubS, Opcode::FmulS, Opcode::FdivS, Opcode::FminS, Opcode::FmaxS,
+    ];
+    let unary = |op: Opcode, rd: Reg, rs1: Reg| Instruction {
+        op,
+        rd: Some(rd),
+        rs1: Some(rs1),
+        rs2: None,
+        rs3: None,
+        imm: 0,
+    };
+    for _ in 0..rng.gen_range(2usize..=10) {
+        let idx = nodes.len() as u32;
+        let pick = |rng: &mut Rng, v: &[u32]| v[rng.gen_range(0..v.len())];
+        let (i1, i2) = (pick(&mut rng, &ints), pick(&mut rng, &ints));
+        let (f1, f2) = (pick(&mut rng, &fps), pick(&mut rng, &fps));
+        let (instr, inputs, fp_result) = match rng.gen_range(0..8) {
+            0 => {
+                let op = INT2[rng.gen_range(0..INT2.len())];
+                (Instruction::reg3(op, T1, T1, T2), [from(i1, T1), from(i2, T2)], false)
+            }
+            // Same-register sources: both inputs land in t2, the second wins.
+            1 => (Instruction::reg3(Opcode::Add, T1, T2, T2), [from(i1, T2), from(i2, T2)], false),
+            2 => {
+                let op = FP2[rng.gen_range(0..FP2.len())];
+                (Instruction::reg3(op, FT1, FT1, FT2), [from(f1, FT1), from(f2, FT2)], true)
+            }
+            3 => (Instruction::reg3(Opcode::FmulS, FT1, FT2, FT2), [from(f1, FT2), from(f2, FT2)], true),
+            4 => (unary(Opcode::FsqrtS, FT1, FT1), [from(f1, FT1), Operand::None], true),
+            5 => (unary(Opcode::FcvtSW, FT1, T1), [from(i1, T1), Operand::None], true),
+            6 => {
+                let op = [Opcode::FcvtWS, Opcode::FmvXW][rng.gen_range(0..2usize)];
+                (unary(op, T1, FT1), [from(f1, FT1), Operand::None], false)
+            }
+            _ => (Instruction::reg3(Opcode::FeqS, T1, FT1, FT2), [from(f1, FT1), from(f2, FT2)], false),
+        };
+        nodes.push(NodeConfig::new(pc(idx as usize), instr, coord(&mut rng), inputs));
+        if fp_result { fps.push(idx) } else { ints.push(idx) }
+    }
+    let int_end = *ints.last().unwrap_or(&t1);
+    let fp_end = *fps.last().unwrap_or(&ft1);
+
+    // Store one chain end (either file) to the output array.
+    if rng.gen_bool(0.7) {
+        let s = nodes.len() as u32;
+        let (instr, value) = if rng.gen_bool(0.5) {
+            (Instruction::store(Opcode::Sw, T1, A4, 0), from(int_end, T1))
+        } else {
+            (Instruction::store(Opcode::Fsw, FT1, A4, 0), from(fp_end, FT1))
+        };
+        nodes.push(NodeConfig::new(
+            pc(s as usize),
+            instr,
+            coord(&mut rng),
+            [Operand::Node { idx: s + 1, carried: true, via: A4 }, value],
+        ));
+        let a4 = nodes.len() as u32;
+        nodes.push(NodeConfig::new(
+            pc(a4 as usize),
+            Instruction::reg_imm(Opcode::Addi, A4, A4, 4),
+            coord(&mut rng),
+            [carried_self(a4, A4), Operand::None],
+        ));
+    }
+
+    // Counter induction + closing backward branch.
+    let cnt = nodes.len() as u32;
+    nodes.push(NodeConfig::new(
+        pc(cnt as usize),
+        Instruction::reg_imm(Opcode::Addi, A2, A2, 1),
+        coord(&mut rng),
+        [carried_self(cnt, A2), Operand::None],
+    ));
+    let br = nodes.len() as u32;
+    nodes.push(NodeConfig::new(
+        pc(br as usize),
+        Instruction::branch(Opcode::Bltu, A2, A1, -(4 * i64::from(br))),
+        coord(&mut rng),
+        [from(cnt, A2), Operand::InitReg(A1)],
+    ));
+
+    AccelProgram {
+        start_pc: 0x1000,
+        end_pc: 0x1000 + 4 * nodes.len() as u64,
+        nodes,
+        loop_branch: br,
+        live_out: vec![(T1, int_end), (FT1, fp_end), (A2, cnt)],
+        tiles: 1,
+        pipelined: rng.gen_bool(0.4),
+    }
+}
+
+/// Entry state and memory for [`random_mixed_program`]: RV32 or RV64, with
+/// full 64-bit integer values on RV64 and small floats in the FP file and
+/// in the loaded array.
+fn mixed_entry_and_mem(seed: u64, bound: u64, xlen: Xlen) -> (ArchState, MemorySystem) {
+    let mut rng = Rng::seed_from_u64(seed ^ 0xF17);
+    let mut entry = ArchState::new(0x1000, xlen);
+    for r in [T1, T2, T3] {
+        let v = match xlen {
+            Xlen::Rv32 => u64::from(rng.gen::<u32>()),
+            Xlen::Rv64 => rng.gen::<u64>(),
+        };
+        entry.write(r, v);
+    }
+    let small_float = |rng: &mut Rng| u64::from((rng.gen_range(-500i32..500) as f32 / 8.0).to_bits());
+    for r in [FT1, FT2, FT3] {
+        let v = small_float(&mut rng);
+        entry.write(r, v);
+    }
+    entry.write(A0, ARR_A);
+    entry.write(A1, bound);
+    entry.write(A4, ARR_OUT);
+    let mut mem = MemorySystem::new(MemConfig::default(), 1);
+    for i in 0..=bound + 1 {
+        let v = small_float(&mut rng) as u32;
+        mem.data_mut().store_u32(ARR_A + 4 * i, v);
+    }
+    (entry, mem)
+}
+
+/// Engine vs reference on FP, mul/div/rem, aliased-source kernels under
+/// both register widths.
+#[test]
+fn engines_agree_on_fp_muldiv_and_aliased_kernels() {
+    forall!(checker("differential::engines_agree_on_fp_muldiv_and_aliased_kernels", 120), |(seed in 0u64..1_000_000, bound in 1u64..100, grid in 0u64..3, rv64 in 0u64..2)| {
+        let cfg = grid_for(grid);
+        let prog = random_mixed_program(seed, cfg.grid().cols);
+        prop_assert!(prog.validate(cfg.grid()).is_ok(), "seed {}: generator built an invalid kernel", seed);
+        let xlen = if rv64 == 1 { Xlen::Rv64 } else { Xlen::Rv32 };
+        let (entry, mem) = mixed_entry_and_mem(seed, bound, xlen);
+        let accel = SpatialAccelerator::new(cfg);
+        let outcome = run_differential(&accel, &prog, &entry, &mem, 0, 100_000, &FaultPlan::none());
+        prop_assert!(matches!(outcome, Ok(None)), "seed {} {:?}: {:?}", seed, xlen, outcome);
+    });
+}

@@ -85,20 +85,6 @@ impl ArchState {
     pub fn read_f32(&self, n: u8) -> f32 {
         f32::from_bits(self.f[n as usize])
     }
-
-    fn unsigned(&self, v: u64) -> u64 {
-        match self.xlen {
-            Xlen::Rv32 => u64::from(v as u32),
-            Xlen::Rv64 => v,
-        }
-    }
-
-    fn shamt_mask(&self) -> u32 {
-        match self.xlen {
-            Xlen::Rv32 => 31,
-            Xlen::Rv64 => 63,
-        }
-    }
 }
 
 /// A memory access performed by one step, reported for the timing models.
@@ -149,7 +135,9 @@ pub struct StepInfo {
 ///
 /// The FP environment is simplified: round-to-nearest only, no exception
 /// flags, and `fcvt.w.s` truncates toward zero — sufficient for the Rodinia
-/// kernel semantics the evaluation uses.
+/// kernel semantics the evaluation uses. What each opcode computes is
+/// `op_value` / `op_taken`; this function reads the operands, performs
+/// the memory access, and advances the PC.
 pub fn step<M: MemoryIo>(state: &mut ArchState, instr: &Instruction, mem: &mut M) -> StepInfo {
     use Opcode::*;
     let pc = state.pc;
@@ -157,9 +145,6 @@ pub fn step<M: MemoryIo>(state: &mut ArchState, instr: &Instruction, mem: &mut M
     let rs1v = instr.rs1.map_or(0, |r| state.read(r));
     let rs2v = instr.rs2.map_or(0, |r| state.read(r));
     let imm = instr.imm;
-    let f1 = instr.rs1.map_or(0.0, |r| f32::from_bits(state.read(r) as u32));
-    let f2 = instr.rs2.map_or(0.0, |r| f32::from_bits(state.read(r) as u32));
-    let f3 = instr.rs3.map_or(0.0, |r| f32::from_bits(state.read(r) as u32));
 
     let mut outcome = Outcome::Next;
     let mut mem_access = None;
@@ -169,32 +154,19 @@ pub fn step<M: MemoryIo>(state: &mut ArchState, instr: &Instruction, mem: &mut M
             state.write(r, v);
         }
     };
-    let wf = |v: f32| u64::from(v.to_bits());
 
     match instr.op {
-        Lui => write_rd(state, imm as u64),
-        Auipc => write_rd(state, pc.wrapping_add(imm as u64)),
         Jal => {
-            write_rd(state, pc.wrapping_add(4));
+            write_rd(state, op_value(Jal, state.xlen, pc, rs1v, rs2v, 0, imm));
             outcome = Outcome::Jump { target: pc.wrapping_add(imm as u64) };
         }
         Jalr => {
             let target = rs1v.wrapping_add(imm as u64) & !1;
-            write_rd(state, pc.wrapping_add(4));
+            write_rd(state, op_value(Jalr, state.xlen, pc, rs1v, rs2v, 0, imm));
             outcome = Outcome::Jump { target };
         }
         Beq | Bne | Blt | Bge | Bltu | Bgeu => {
-            let (s1, s2) = (rs1v as i64, rs2v as i64);
-            let (u1, u2) = (state.unsigned(rs1v), state.unsigned(rs2v));
-            let taken = match instr.op {
-                Beq => rs1v == rs2v,
-                Bne => rs1v != rs2v,
-                Blt => s1 < s2,
-                Bge => s1 >= s2,
-                Bltu => u1 < u2,
-                Bgeu => u1 >= u2,
-                _ => unreachable!(),
-            };
+            let taken = op_taken(instr.op, state.xlen, rs1v, rs2v);
             outcome = Outcome::Branch { taken, target: pc.wrapping_add(imm as u64) };
         }
         Lb | Lh | Lw | Lbu | Lhu | Lwu | Ld | Flw => {
@@ -216,31 +188,6 @@ pub fn step<M: MemoryIo>(state: &mut ArchState, instr: &Instruction, mem: &mut M
             mem.store(addr, width, rs2v);
             mem_access = Some(MemAccess { addr, width, is_store: true });
         }
-        Addi => write_rd(state, rs1v.wrapping_add(imm as u64)),
-        Slti => write_rd(state, u64::from((rs1v as i64) < imm)),
-        Sltiu => write_rd(state, u64::from(state.unsigned(rs1v) < state.unsigned(imm as u64))),
-        Xori => write_rd(state, rs1v ^ imm as u64),
-        Ori => write_rd(state, rs1v | imm as u64),
-        Andi => write_rd(state, rs1v & imm as u64),
-        Slli => write_rd(state, rs1v << (imm as u32 & state.shamt_mask())),
-        Srli => {
-            let sh = imm as u32 & state.shamt_mask();
-            write_rd(state, state.unsigned(rs1v) >> sh);
-        }
-        Srai => {
-            let sh = imm as u32 & state.shamt_mask();
-            write_rd(state, ((rs1v as i64) >> sh) as u64);
-        }
-        Add => write_rd(state, rs1v.wrapping_add(rs2v)),
-        Sub => write_rd(state, rs1v.wrapping_sub(rs2v)),
-        Sll => write_rd(state, rs1v << (rs2v as u32 & state.shamt_mask())),
-        Slt => write_rd(state, u64::from((rs1v as i64) < (rs2v as i64))),
-        Sltu => write_rd(state, u64::from(state.unsigned(rs1v) < state.unsigned(rs2v))),
-        Xor => write_rd(state, rs1v ^ rs2v),
-        Srl => write_rd(state, state.unsigned(rs1v) >> (rs2v as u32 & state.shamt_mask())),
-        Sra => write_rd(state, ((rs1v as i64) >> (rs2v as u32 & state.shamt_mask())) as u64),
-        Or => write_rd(state, rs1v | rs2v),
-        And => write_rd(state, rs1v & rs2v),
         Fence => {}
         Ecall => {
             outcome = if state.read(Reg::X(17)) == 93 {
@@ -250,70 +197,10 @@ pub fn step<M: MemoryIo>(state: &mut ArchState, instr: &Instruction, mem: &mut M
             };
         }
         Ebreak => outcome = Outcome::Halt,
-        Mul => write_rd(state, rs1v.wrapping_mul(rs2v)),
-        Mulh => {
-            let prod = i128::from(rs1v as i64) * i128::from(rs2v as i64);
-            write_rd(state, (prod >> 64) as u64);
+        op => {
+            let rs3v = instr.rs3.map_or(0, |r| state.read(r));
+            write_rd(state, op_value(op, state.xlen, pc, rs1v, rs2v, rs3v, imm));
         }
-        Mulhsu => {
-            let prod = i128::from(rs1v as i64).wrapping_mul(i128::from(rs2v));
-            write_rd(state, (prod >> 64) as u64);
-        }
-        Mulhu => {
-            let prod = u128::from(rs1v) * u128::from(rs2v);
-            write_rd(state, (prod >> 64) as u64);
-        }
-        Div => {
-            let (a, b) = (rs1v as i64, rs2v as i64);
-            let q = if b == 0 { -1 } else { a.wrapping_div(b) };
-            write_rd(state, q as u64);
-        }
-        Divu => {
-            let (a, b) = (state.unsigned(rs1v), state.unsigned(rs2v));
-            write_rd(state, a.checked_div(b).unwrap_or(u64::MAX));
-        }
-        Rem => {
-            let (a, b) = (rs1v as i64, rs2v as i64);
-            let r = if b == 0 { a } else { a.wrapping_rem(b) };
-            write_rd(state, r as u64);
-        }
-        Remu => {
-            let (a, b) = (state.unsigned(rs1v), state.unsigned(rs2v));
-            write_rd(state, if b == 0 { a } else { a % b });
-        }
-        FaddS => write_rd(state, wf(f1 + f2)),
-        FsubS => write_rd(state, wf(f1 - f2)),
-        FmulS => write_rd(state, wf(f1 * f2)),
-        FdivS => write_rd(state, wf(f1 / f2)),
-        FsqrtS => write_rd(state, wf(f1.sqrt())),
-        FminS => write_rd(state, wf(f1.min(f2))),
-        FmaxS => write_rd(state, wf(f1.max(f2))),
-        FmaddS => write_rd(state, wf(f1.mul_add(f2, f3))),
-        FmsubS => write_rd(state, wf(f1.mul_add(f2, -f3))),
-        FnmaddS => write_rd(state, wf((-f1).mul_add(f2, -f3))),
-        FnmsubS => write_rd(state, wf((-f1).mul_add(f2, f3))),
-        FcvtWS => write_rd(state, (f1 as i32) as u64),
-        FcvtWuS => write_rd(state, u64::from(f1 as u32)),
-        FcvtSW => write_rd(state, wf(rs1v as i32 as f32)),
-        FcvtSWu => write_rd(state, wf(rs1v as u32 as f32)),
-        FmvXW => write_rd(state, (rs1v as u32) as i32 as i64 as u64),
-        FmvWX => write_rd(state, u64::from(rs1v as u32)),
-        FeqS => write_rd(state, u64::from(f1 == f2)),
-        FltS => write_rd(state, u64::from(f1 < f2)),
-        FleS => write_rd(state, u64::from(f1 <= f2)),
-        FsgnjS => write_rd(state, u64::from((f2.to_bits() & 0x8000_0000) | (f1.to_bits() & 0x7FFF_FFFF))),
-        FsgnjnS => write_rd(state, u64::from((!f2.to_bits() & 0x8000_0000) | (f1.to_bits() & 0x7FFF_FFFF))),
-        FsgnjxS => write_rd(state, u64::from(((f1.to_bits() ^ f2.to_bits()) & 0x8000_0000) | (f1.to_bits() & 0x7FFF_FFFF))),
-        FclassS => write_rd(state, u64::from(fclass(f1))),
-        Addiw => write_rd(state, (rs1v.wrapping_add(imm as u64) as i32) as i64 as u64),
-        Slliw => write_rd(state, ((rs1v as u32) << (imm as u32 & 31)) as i32 as i64 as u64),
-        Srliw => write_rd(state, ((rs1v as u32) >> (imm as u32 & 31)) as i32 as i64 as u64),
-        Sraiw => write_rd(state, ((rs1v as i32) >> (imm as u32 & 31)) as i64 as u64),
-        Addw => write_rd(state, (rs1v.wrapping_add(rs2v) as i32) as i64 as u64),
-        Subw => write_rd(state, (rs1v.wrapping_sub(rs2v) as i32) as i64 as u64),
-        Sllw => write_rd(state, ((rs1v as u32) << (rs2v as u32 & 31)) as i32 as i64 as u64),
-        Srlw => write_rd(state, ((rs1v as u32) >> (rs2v as u32 & 31)) as i32 as i64 as u64),
-        Sraw => write_rd(state, ((rs1v as i32) >> (rs2v as u32 & 31)) as i64 as u64),
     }
 
     state.pc = match outcome {
@@ -324,6 +211,276 @@ pub fn step<M: MemoryIo>(state: &mut ArchState, instr: &Instruction, mem: &mut M
     };
 
     StepInfo { outcome, mem: mem_access }
+}
+
+/// RV32 values compare and shift as their low word; RV64 as all 64 bits.
+#[inline]
+fn unsigned(xlen: Xlen, v: u64) -> u64 {
+    match xlen {
+        Xlen::Rv32 => u64::from(v as u32),
+        Xlen::Rv64 => v,
+    }
+}
+
+#[inline]
+fn shamt_mask(xlen: Xlen) -> u32 {
+    match xlen {
+        Xlen::Rv32 => 31,
+        Xlen::Rv64 => 63,
+    }
+}
+
+/// The result bits `op` writes to its destination register — the one
+/// definition of what every register-writing opcode computes, shared by
+/// [`step`] and the accelerator's planned PE ops ([`PureOp`]).
+///
+/// `rs1v`/`rs2v`/`rs3v` are the source registers as [`ArchState::read`]
+/// returns them (FP sources as their raw bits; absent sources as 0) and
+/// `pc` is the instruction's address (AUIPC and the JAL/JALR link read
+/// it). The result is pre-canonicalization: [`ArchState::write`] narrows
+/// it to the destination's file and width. Opcodes that write no register
+/// from their operands — branches, loads, stores and system ops — return
+/// 0.
+// Forced inline so the match in `step` and this one fold into a single
+// dispatch: as a call it measurably slowed the CPU model.
+#[inline(always)]
+#[must_use]
+pub(crate) fn op_value(op: Opcode, xlen: Xlen, pc: u64, rs1v: u64, rs2v: u64, rs3v: u64, imm: i64) -> u64 {
+    use Opcode::*;
+    let f1 = f32::from_bits(rs1v as u32);
+    let f2 = f32::from_bits(rs2v as u32);
+    let f3 = f32::from_bits(rs3v as u32);
+    let wf = |v: f32| u64::from(v.to_bits());
+    let u = |v: u64| unsigned(xlen, v);
+    let sh = shamt_mask(xlen);
+    match op {
+        Lui => imm as u64,
+        Auipc => pc.wrapping_add(imm as u64),
+        Jal | Jalr => pc.wrapping_add(4),
+        Addi => rs1v.wrapping_add(imm as u64),
+        Slti => u64::from((rs1v as i64) < imm),
+        Sltiu => u64::from(u(rs1v) < u(imm as u64)),
+        Xori => rs1v ^ imm as u64,
+        Ori => rs1v | imm as u64,
+        Andi => rs1v & imm as u64,
+        Slli => rs1v << (imm as u32 & sh),
+        Srli => u(rs1v) >> (imm as u32 & sh),
+        Srai => ((rs1v as i64) >> (imm as u32 & sh)) as u64,
+        Add => rs1v.wrapping_add(rs2v),
+        Sub => rs1v.wrapping_sub(rs2v),
+        Sll => rs1v << (rs2v as u32 & sh),
+        Slt => u64::from((rs1v as i64) < (rs2v as i64)),
+        Sltu => u64::from(u(rs1v) < u(rs2v)),
+        Xor => rs1v ^ rs2v,
+        Srl => u(rs1v) >> (rs2v as u32 & sh),
+        Sra => ((rs1v as i64) >> (rs2v as u32 & sh)) as u64,
+        Or => rs1v | rs2v,
+        And => rs1v & rs2v,
+        Mul => rs1v.wrapping_mul(rs2v),
+        Mulh => ((i128::from(rs1v as i64) * i128::from(rs2v as i64)) >> 64) as u64,
+        Mulhsu => (i128::from(rs1v as i64).wrapping_mul(i128::from(rs2v)) >> 64) as u64,
+        Mulhu => ((u128::from(rs1v) * u128::from(rs2v)) >> 64) as u64,
+        Div => {
+            let (a, b) = (rs1v as i64, rs2v as i64);
+            (if b == 0 { -1 } else { a.wrapping_div(b) }) as u64
+        }
+        Divu => u(rs1v).checked_div(u(rs2v)).unwrap_or(u64::MAX),
+        Rem => {
+            let (a, b) = (rs1v as i64, rs2v as i64);
+            (if b == 0 { a } else { a.wrapping_rem(b) }) as u64
+        }
+        Remu => {
+            let (a, b) = (u(rs1v), u(rs2v));
+            if b == 0 {
+                a
+            } else {
+                a % b
+            }
+        }
+        FaddS => wf(f1 + f2),
+        FsubS => wf(f1 - f2),
+        FmulS => wf(f1 * f2),
+        FdivS => wf(f1 / f2),
+        FsqrtS => wf(f1.sqrt()),
+        FminS => wf(f1.min(f2)),
+        FmaxS => wf(f1.max(f2)),
+        FmaddS => wf(f1.mul_add(f2, f3)),
+        FmsubS => wf(f1.mul_add(f2, -f3)),
+        FnmaddS => wf((-f1).mul_add(f2, -f3)),
+        FnmsubS => wf((-f1).mul_add(f2, f3)),
+        FcvtWS => (f1 as i32) as u64,
+        FcvtWuS => u64::from(f1 as u32),
+        FcvtSW => wf(rs1v as i32 as f32),
+        FcvtSWu => wf(rs1v as u32 as f32),
+        FmvXW => (rs1v as u32) as i32 as i64 as u64,
+        FmvWX => u64::from(rs1v as u32),
+        FeqS => u64::from(f1 == f2),
+        FltS => u64::from(f1 < f2),
+        FleS => u64::from(f1 <= f2),
+        FsgnjS => u64::from((f2.to_bits() & 0x8000_0000) | (f1.to_bits() & 0x7FFF_FFFF)),
+        FsgnjnS => u64::from((!f2.to_bits() & 0x8000_0000) | (f1.to_bits() & 0x7FFF_FFFF)),
+        FsgnjxS => u64::from(((f1.to_bits() ^ f2.to_bits()) & 0x8000_0000) | (f1.to_bits() & 0x7FFF_FFFF)),
+        FclassS => u64::from(fclass(f1)),
+        Addiw => (rs1v.wrapping_add(imm as u64) as i32) as i64 as u64,
+        Slliw => ((rs1v as u32) << (imm as u32 & 31)) as i32 as i64 as u64,
+        Srliw => ((rs1v as u32) >> (imm as u32 & 31)) as i32 as i64 as u64,
+        Sraiw => ((rs1v as i32) >> (imm as u32 & 31)) as i64 as u64,
+        Addw => (rs1v.wrapping_add(rs2v) as i32) as i64 as u64,
+        Subw => (rs1v.wrapping_sub(rs2v) as i32) as i64 as u64,
+        Sllw => ((rs1v as u32) << (rs2v as u32 & 31)) as i32 as i64 as u64,
+        Srlw => ((rs1v as u32) >> (rs2v as u32 & 31)) as i32 as i64 as u64,
+        Sraw => ((rs1v as i32) >> (rs2v as u32 & 31)) as i64 as u64,
+        Beq | Bne | Blt | Bge | Bltu | Bgeu | Lb | Lh | Lw | Lbu | Lhu | Lwu | Ld | Flw | Sb
+        | Sh | Sw | Sd | Fsw | Fence | Ecall | Ebreak => 0,
+    }
+}
+
+/// Whether conditional branch `op` is taken on source values `rs1v`/`rs2v`
+/// (as [`ArchState::read`] returns them). Any other opcode is not taken.
+#[inline]
+#[must_use]
+pub(crate) fn op_taken(op: Opcode, xlen: Xlen, rs1v: u64, rs2v: u64) -> bool {
+    use Opcode::*;
+    match op {
+        Beq => rs1v == rs2v,
+        Bne => rs1v != rs2v,
+        Blt => (rs1v as i64) < (rs2v as i64),
+        Bge => (rs1v as i64) >= (rs2v as i64),
+        Bltu => unsigned(xlen, rs1v) < unsigned(xlen, rs2v),
+        Bgeu => unsigned(xlen, rs1v) >= unsigned(xlen, rs2v),
+        _ => false,
+    }
+}
+
+/// How one register slot of a [`PureOp`] carries a value: which of the
+/// PE's two operand inputs it reads, and what [`ArchState::write`] followed
+/// by [`ArchState::read`] make of a value in that register. Packed into one
+/// byte of flags so a firing decodes it with selects, not branches.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct Feed(u8);
+
+impl Feed {
+    /// Reads the second input (`rs2`'s value) rather than the first.
+    const SECOND: u8 = 1;
+    /// Carries a value at all; without it the slot reads 0 (`x0`, no
+    /// register, or a register staging never wrote).
+    const LIVE: u8 = 2;
+    /// A 32-bit register: only the low word survives...
+    const NARROW: u8 = 4;
+    /// ...sign-extended (RV32 integer file) rather than zero-extended
+    /// (FP file).
+    const SEXT: u8 = 8;
+
+    const ZERO: Feed = Feed(0);
+
+    /// The slot for `reg`, reading the second input if `second`.
+    fn new(reg: Option<Reg>, xlen: Xlen, second: bool) -> Feed {
+        let input = if second { Feed::SECOND } else { 0 };
+        match (reg, xlen) {
+            (None | Some(Reg::X(0)), _) => Feed::ZERO,
+            (Some(Reg::X(_)), Xlen::Rv32) => Feed(input | Feed::LIVE | Feed::NARROW | Feed::SEXT),
+            (Some(Reg::X(_)), Xlen::Rv64) => Feed(input | Feed::LIVE),
+            (Some(Reg::F(_)), _) => Feed(input | Feed::LIVE | Feed::NARROW),
+        }
+    }
+
+    /// `v` after a round trip through the slot's register.
+    #[inline]
+    fn pass(self, v: u64) -> u64 {
+        let v = if self.0 & Feed::LIVE != 0 { v } else { 0 };
+        let drop = u32::from(self.0 & Feed::NARROW) * 8;
+        let w = v << drop;
+        if self.0 & Feed::SEXT != 0 {
+            ((w as i64) >> drop) as u64
+        } else {
+            w >> drop
+        }
+    }
+
+    /// The slot's value given the PE's two operand inputs.
+    #[inline]
+    fn read(self, in0: u64, in1: u64) -> u64 {
+        self.pass(if self.0 & Feed::SECOND != 0 { in1 } else { in0 })
+    }
+}
+
+/// A PE's executable form of one instruction: a pure function of the
+/// node's two operand inputs, lowered once per configured node.
+///
+/// A PE evaluates an instruction as if on a fresh [`ArchState`] at `pc` 0
+/// whose `rs1` holds the first input and `rs2` the second (written in that
+/// order) — everything else zero — and reads back `rd`. [`PureOp::lower`]
+/// resolves that staging once: which input each source reads when
+/// registers alias (`rs1 == rs2`; `rs3` equal to either, else 0), `x0` as
+/// a source (0) or destination (result 0), integer-file canonicalization
+/// by [`Xlen`] versus FP-file truncation to 32 bits, and the PC (AUIPC
+/// yields its immediate, a JAL/JALR link yields 4). [`PureOp::eval`] and
+/// [`PureOp::taken`] then equal that [`step`]-based evaluation bit for bit
+/// (property-tested in `tests/pure_op_proptest.rs` for every opcode a PE
+/// can run).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct PureOp {
+    op: Opcode,
+    xlen: Xlen,
+    src: [Feed; 3],
+    dst: Feed,
+    imm: i64,
+}
+
+impl PureOp {
+    /// Lowers `instr` for a hart of width `xlen`.
+    #[must_use]
+    pub fn lower(instr: &Instruction, xlen: Xlen) -> PureOp {
+        // The input that ends up in `reg` after staging: `rs2` is written
+        // last, so it wins an alias with `rs1`.
+        let feed = |reg: Option<Reg>| match reg {
+            r if r == instr.rs2 => Feed::new(r, xlen, true),
+            r if r == instr.rs1 => Feed::new(r, xlen, false),
+            _ => Feed::ZERO,
+        };
+        if instr.op.is_system() {
+            // System ops compute nothing: `rd` keeps what staging left in
+            // it, i.e. a move of the register's feed.
+            return PureOp {
+                op: Opcode::Addi,
+                xlen,
+                src: [feed(instr.rd), Feed::ZERO, Feed::ZERO],
+                dst: Feed::new(instr.rd, xlen, false),
+                imm: 0,
+            };
+        }
+        PureOp {
+            op: instr.op,
+            xlen,
+            src: [feed(instr.rs1), feed(instr.rs2), feed(instr.rs3)],
+            dst: Feed::new(instr.rd, xlen, false),
+            imm: instr.imm,
+        }
+    }
+
+    /// The instruction's immediate (the memory offset of a load or store).
+    #[must_use]
+    pub fn imm(&self) -> i64 {
+        self.imm
+    }
+
+    /// The value the op leaves in `rd` (0 without one) given the node's
+    /// two operand inputs. Loads read as 0: a PE has no memory.
+    #[inline]
+    #[must_use]
+    pub fn eval(&self, in0: u64, in1: u64) -> u64 {
+        let [a, b, c] = self.src;
+        let (a, b, c) = (a.read(in0, in1), b.read(in0, in1), c.read(in0, in1));
+        self.dst.pass(op_value(self.op, self.xlen, 0, a, b, c, self.imm))
+    }
+
+    /// Whether the op, a conditional branch, is taken given the node's two
+    /// operand inputs (any other op is not taken).
+    #[inline]
+    #[must_use]
+    pub fn taken(&self, in0: u64, in1: u64) -> bool {
+        op_taken(self.op, self.xlen, self.src[0].read(in0, in1), self.src[1].read(in0, in1))
+    }
 }
 
 /// `fclass.s` result bit per the RISC-V spec.

@@ -11,9 +11,10 @@
 //!   itself, as in the paper.
 //! * [`Asm`] / [`Program`] — a label-resolving embedded assembler used to
 //!   write the Rodinia-style workload kernels.
-//! * [`exec`] — functional semantics ([`ArchState`], [`step`]) shared by
-//!   the CPU timing model and the spatial accelerator, so both compute
-//!   identical values.
+//! * [`exec`] — functional semantics shared by the CPU timing model and
+//!   the spatial accelerator, so both compute identical values: one value
+//!   function per opcode behind both the CPU's [`step`] and the PEs'
+//!   pre-resolved [`PureOp`].
 //!
 //! # Example
 //!
@@ -57,7 +58,7 @@ pub use asm::{Annotation, Asm, AsmError, ParallelKind, Program};
 pub use codec::{decode, encode, DecodeError, EncodeError};
 pub use exec::{
     step, step_flat, step_fused, ArchState, FlatKind, FlatMemory, FlatOp, FusedKind, FusedOp,
-    MemAccess, MemoryIo, Outcome, StepInfo, Xlen,
+    MemAccess, MemoryIo, Outcome, PureOp, StepInfo, Xlen,
 };
 pub use instr::Instruction;
 pub use opcode::{OpClass, Opcode};

@@ -76,9 +76,10 @@ fn bench_mapper(suite: &mut BenchSuite) {
     });
 }
 
-fn nn_engine_setup() -> (mesa_workloads::Kernel, SpatialAccelerator, mesa_accel::AccelProgram) {
-    let kernel = by_name("nn", KernelSize::Tiny).expect("nn");
-    let r = region("nn");
+/// A tiny kernel's loop body mapped onto M-128, ready for the engine.
+fn engine_setup(name: &str) -> (mesa_workloads::Kernel, SpatialAccelerator, mesa_accel::AccelProgram) {
+    let kernel = by_name(name, KernelSize::Tiny).expect("kernel");
+    let r = region(name);
     let ldfg = Ldfg::build(&r).expect("builds");
     let accel_cfg = AccelConfig::m128();
     let sa = SpatialAccelerator::new(accel_cfg);
@@ -104,8 +105,24 @@ fn nn_engine_setup() -> (mesa_workloads::Kernel, SpatialAccelerator, mesa_accel:
 }
 
 fn bench_engine(suite: &mut BenchSuite) {
-    let (kernel, sa, prog) = nn_engine_setup();
+    let (kernel, sa, prog) = engine_setup("nn");
     suite.run_cycles("engine/nn_512_iterations_on_m128", 20, || {
+        let mut mem = MemorySystem::new(MemConfig::default(), 1);
+        kernel.populate(mem.data_mut());
+        black_box(
+            sa.execute(&prog, &kernel.entry, &mut mem, 0, 1_000_000)
+                .expect("runs"),
+        )
+        .cycles
+    });
+}
+
+/// The integer counterpart of the nn run above (which is FP): pathfinder's
+/// branch-free min/add body, so PE compute on the integer ALU path has its
+/// own row.
+fn bench_engine_int(suite: &mut BenchSuite) {
+    let (kernel, sa, prog) = engine_setup("pathfinder");
+    suite.run_cycles("engine/pathfinder_512_iterations_on_m128", 20, || {
         let mut mem = MemorySystem::new(MemConfig::default(), 1);
         kernel.populate(mem.data_mut());
         black_box(
@@ -120,7 +137,7 @@ fn bench_engine(suite: &mut BenchSuite) {
 /// with a [`NullTracer`]: `scripts/bench_gates.tsv` gates this against the
 /// plain run above, so the disabled-tracing fast path stays free.
 fn bench_engine_null_tracer(suite: &mut BenchSuite) {
-    let (kernel, sa, prog) = nn_engine_setup();
+    let (kernel, sa, prog) = engine_setup("nn");
     let faults = FaultPlan::none();
     let req = SessionRequest::solo(0, 1_000_000, &faults, sa.config().grid());
     suite.run_cycles("tracer/null_engine_nn_on_m128", 20, || {
@@ -142,7 +159,7 @@ fn bench_engine_null_tracer(suite: &mut BenchSuite) {
 /// stays within 10% of the pre-fabric baseline for the solo case everyone
 /// else pays for.
 fn bench_fabric(suite: &mut BenchSuite) {
-    let (kernel, _sa, prog) = nn_engine_setup();
+    let (kernel, _sa, prog) = engine_setup("nn");
     let cfg = AccelConfig::m128();
     suite.run_cycles("fabric/nn_single_tenant_session_on_m128", 20, || {
         let mut mem = MemorySystem::new(MemConfig::default(), 1);
@@ -274,6 +291,7 @@ fn main() {
     bench_ldfg_build(&mut suite);
     bench_mapper(&mut suite);
     bench_engine(&mut suite);
+    bench_engine_int(&mut suite);
     bench_engine_null_tracer(&mut suite);
     bench_fabric(&mut suite);
     bench_ooo_core(&mut suite);

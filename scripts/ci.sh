@@ -52,12 +52,13 @@ profile_tmp="$(mktemp -t mesa_profile.XXXXXX.json)"
 fig_j1="$(mktemp -t mesa_fig_j1.XXXXXX.txt)"
 fig_j2="$(mktemp -t mesa_fig_j2.XXXXXX.txt)"
 fig_small="$(mktemp -t mesa_fig_small.XXXXXX.txt)"
+fig_large="$(mktemp -t mesa_fig_large.XXXXXX.txt)"
 bench_tmp="$(mktemp -t mesa_bench.XXXXXX.json)"
 fleet_tmp="$(mktemp -t mesa_fleet.XXXXXX.json)"
 pm_tmp="$(mktemp -t mesa_postmortem.XXXXXX.json)"
 host_j1="$(mktemp -t mesa_host_j1.XXXXXX.json)"
 host_j2="$(mktemp -t mesa_host_j2.XXXXXX.json)"
-trap 'rm -f "$trace_tmp" "$trace_tmp.jsonl" "$profile_tmp" "$fig_j1" "$fig_j2" "$fig_small" \
+trap 'rm -f "$trace_tmp" "$trace_tmp.jsonl" "$profile_tmp" "$fig_j1" "$fig_j2" "$fig_small" "$fig_large" \
   "$bench_tmp" "$fleet_tmp" "$pm_tmp" \
   "$host_j1" "$host_j1.folded" "$host_j2" "$host_j2.folded"' EXIT
 cargo run --release --offline -q -p mesa-bench --bin figures -- trace tiny --trace "$trace_tmp"
@@ -162,6 +163,16 @@ cargo run --release --offline -q -p mesa-bench --bin figures -- \
   --jobs 2 all small > "$fig_small"
 cmp "$fig_small" figures_output.txt
 echo "figures all small matches the committed figures_output.txt"
+
+# The same golden check at the paper's scale: every `large` figure and
+# Fig. 11's paper-error line must match figures_output_large.txt, which a
+# figure-moving change regenerates with
+#   cargo run --release --offline -q -p mesa-bench --bin figures -- \
+#     --jobs 2 all large > figures_output_large.txt
+cargo run --release --offline -q -p mesa-bench --bin figures -- \
+  --jobs 2 all large > "$fig_large"
+cmp "$fig_large" figures_output_large.txt
+echo "figures all large matches the committed figures_output_large.txt"
 
 # Host-profile smoke: a figures subset under the deterministic mock
 # clock must emit a valid mesa.hostprofile/v1 export (exact span-tree
