@@ -20,7 +20,7 @@ use crate::{
     AccelConfig, AccelProgram, ActivityStats, Coord, HalfRingModel, LatencyModel, NodeConfig,
     Operand, PerfCounters, ProgramError, Region,
 };
-use mesa_isa::{ArchState, MemoryIo, OpClass, PureOp, Reg, Xlen};
+use mesa_isa::{extend_load, ArchState, MemoryIo, OpClass, PureOp, Reg, Xlen};
 use mesa_mem::MemorySystem;
 use mesa_trace::{NullTracer, Subsystem, Tracer};
 use std::fmt;
@@ -926,14 +926,7 @@ impl SpatialAccelerator {
         let width = plan.mem_width;
 
         // Functional value (stores earlier in program order already applied).
-        let raw = mem.data_mut().load(addr, width);
-        let value = if plan.sign_extend {
-            let bits = u32::from(width) * 8;
-            ((raw << (64 - bits)) as i64 >> (64 - bits)) as u64
-        } else {
-            raw
-        };
-        cur_value[i] = value;
+        cur_value[i] = extend_load(mem.data_mut().load(addr, width), width, plan.sign_extend);
         activity.loads += 1;
 
         // Static store→load forwarding edge (§4.2).

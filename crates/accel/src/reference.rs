@@ -23,7 +23,7 @@ use crate::{
     PerfCounters, ProgramError, SessionRequest, SpatialAccelerator,
 };
 use mesa_isa::{step, ArchState, Instruction, MemoryIo, OpClass, Outcome, Reg, Xlen};
-use mesa_mem::MemorySystem;
+use mesa_mem::{MemorySystem, SparseMemory};
 use mesa_trace::NullTracer;
 use std::fmt;
 
@@ -567,10 +567,10 @@ fn diff<T: PartialEq + fmt::Debug>(field: &str, fast: &T, reference: &T) -> Opti
 }
 
 /// Compares two run results field by field; `None` means they agree on
-/// everything the oracle checks (architectural results, iteration counts,
-/// cycles, counters, activity, fault log). Memory equality follows from
-/// identical store sequences, which the counters/activity comparison
-/// pins down together with the identical functional store values.
+/// every field of [`AccelRunResult`] the oracle checks (architectural
+/// registers, iteration counts, cycles, counters, activity, fault log).
+/// A run result holds no memory: [`run_differential`] also compares the
+/// final data images.
 #[must_use]
 pub fn compare_runs(fast: &AccelRunResult, reference: &AccelRunResult) -> Option<Divergence> {
     diff("iterations", &fast.iterations, &reference.iterations)
@@ -596,9 +596,22 @@ pub fn compare_runs(fast: &AccelRunResult, reference: &AccelRunResult) -> Option
         .or_else(|| diff("faults", &fast.faults, &reference.faults))
 }
 
+/// Compares the final data images of a fast and a reference run; the
+/// first differing byte is reported as a divergence on `memory[0x…]`. An
+/// untouched page equals a page of zeros.
+fn compare_memory(fast: &SparseMemory, reference: &SparseMemory) -> Option<Divergence> {
+    let (addr, f, r) = fast.first_difference(reference)?;
+    Some(Divergence {
+        field: format!("memory[{addr:#x}]"),
+        fast: format!("{f:#04x}"),
+        reference: format!("{r:#04x}"),
+    })
+}
+
 /// Runs a program through the fast engine and the reference interpreter
 /// over independent clones of `mem`, under the same fault plan, and
-/// returns the first divergence (or `None` when they agree).
+/// returns the first divergence in the run results, else in the final
+/// memory images (or `None` when they agree).
 ///
 /// # Errors
 /// Returns [`ProgramError`] if the program fails validation (both engines
@@ -627,7 +640,8 @@ pub fn run_differential(
         max_iterations,
         faults,
     )?;
-    Ok(compare_runs(&fast, &reference))
+    Ok(compare_runs(&fast, &reference)
+        .or_else(|| compare_memory(fast_mem.data(), ref_mem.data())))
 }
 
 #[cfg(test)]
@@ -763,5 +777,24 @@ mod tests {
         let mut c = a.clone();
         c.counters.nodes[2].fires += 1;
         assert_eq!(compare_runs(&a, &c).expect("must diverge").field, "counters[2]");
+    }
+
+    #[test]
+    fn divergence_reports_the_first_differing_memory_byte() {
+        let (prog, entry) = sum_loop();
+        let accel = SpatialAccelerator::new(AccelConfig::m128());
+        let mut fast = MemorySystem::new(MemConfig::default(), 1);
+        accel.execute(&prog, &entry, &mut fast, 0, 1_000).unwrap();
+        let mut reference = fast.clone();
+        assert_eq!(compare_memory(fast.data(), reference.data()), None);
+        // A zero store touches a page without changing the image.
+        reference.data_mut().store(0x9000, 4, 0);
+        assert_eq!(compare_memory(fast.data(), reference.data()), None);
+        reference.data_mut().store(0x9002, 1, 0x5A);
+        fast.data_mut().store(0xA000, 1, 1);
+        let d = compare_memory(fast.data(), reference.data()).expect("must diverge");
+        assert_eq!(d.field, "memory[0x9002]");
+        assert_eq!((d.fast.as_str(), d.reference.as_str()), ("0x00", "0x5a"));
+        assert!(d.to_string().contains("divergence on memory[0x9002]"));
     }
 }

@@ -10,8 +10,8 @@
 
 use crate::{BranchPredictor, CoreConfig};
 use mesa_isa::{
-    step, step_flat, step_fused, ArchState, FlatKind, FlatOp, FusedKind, FusedOp, Instruction, OpClass,
-    Outcome, Program, StepInfo, Xlen,
+    step, step_flat, ArchState, FlatOp, FusedKind, FusedOp, Instruction, OpClass, Outcome, Program,
+    StepInfo, Xlen,
 };
 use mesa_mem::MemorySystem;
 
@@ -348,25 +348,12 @@ impl Uop {
             _ => 0,
         };
         let flat = FlatOp::lower(&instr, xlen);
-        let dkind = match flat {
-            Some(f) => match f.kind {
-                k if k.is_int_alu() => K_ALU,
-                FlatKind::Beq
-                | FlatKind::Bne
-                | FlatKind::Blt
-                | FlatKind::Bge
-                | FlatKind::Bltu
-                | FlatKind::Bgeu => K_BR,
-                FlatKind::Lb | FlatKind::Lh | FlatKind::Lw | FlatKind::Lbu | FlatKind::Lhu => {
-                    K_LD
-                }
-                FlatKind::Sb | FlatKind::Sh | FlatKind::Sw => K_ST,
-                FlatKind::Jal => K_ALU,
-                // Unreachable: the guard above covers every remaining
-                // variant, but the guard hides that from exhaustiveness.
-                _ => K_GEN,
-            },
-            None => K_GEN,
+        let dkind = match flat.map(|f| f.op.class()) {
+            Some(OpClass::IntAlu | OpClass::Jump) => K_ALU,
+            Some(OpClass::Branch) => K_BR,
+            Some(OpClass::Load) => K_LD,
+            Some(OpClass::Store) => K_ST,
+            _ => K_GEN,
         };
         Uop {
             instr,
@@ -784,11 +771,13 @@ impl OoOCore {
     /// below (fetch grouping, dispatch, readiness, issue ring, FU pools,
     /// redirect, commit rings) performs the same arithmetic in the same
     /// per-constituent order, so cycle counts are bit-identical. The
-    /// speedup comes from (a) flattened functional dispatch (`step_flat`
-    /// instead of the general `step` match tree), (b) fused superinstruction
-    /// pairs that execute two instructions per loop iteration via
-    /// `step_fused` handlers, and (c) skipping `RetireEvent` construction
-    /// for monitors that don't want events.
+    /// speedup comes from (a) predecoded functional dispatch (`step_flat`
+    /// on raw register indices instead of the general `step`; both compute
+    /// with the same `op_value` definition), (b) fused pairs, found at
+    /// predecode, that retire two instructions per loop iteration as two
+    /// `step_flat` calls with statically specialized timing, and (c)
+    /// skipping `RetireEvent` construction for monitors that don't want
+    /// events.
     fn run_fused(
         &mut self,
         program: &Program,
@@ -1103,7 +1092,8 @@ impl OoOCore {
                     // (no memory access, no control transfer), so nothing
                     // the timing stages read depends on interleaving with
                     // the second half's functional effects.
-                    let (ia, ib) = step_fused(state, f, mem.data_mut());
+                    let ia = step_flat(state, &f.a, mem.data_mut());
+                    let ib = step_flat(state, &f.b, mem.data_mut());
                     let second = &uops[uop_idx + 1];
                     timing_retire!(K_ALU, uop, pc, ia);
                     match f.kind {

@@ -3,11 +3,16 @@
 //! Both the CPU timing model and the spatial accelerator need *correct
 //! values* in addition to timing: MESA's store→load forwarding,
 //! invalidation-on-disambiguation, and predicated forward branches (paper
-//! §4.2, §5.2) are all value-dependent. This module is the single source of
-//! truth for what each instruction computes, so the accelerator's result can
-//! be checked against the CPU's instruction-by-instruction.
+//! §4.2, §5.2) are all value-dependent. What each instruction computes is
+//! defined once here — `op_value` for register results, `op_taken` for
+//! branch conditions, [`extend_load`] for loaded values — and every
+//! executor reads that one definition: the general [`step`] interpreter,
+//! the CPU's predecoded [`step_flat`] path (a [`FusedOp`] pair is two
+//! `step_flat` calls), and the accelerator's [`PureOp`]. The accelerator's
+//! result can therefore be checked against the CPU's
+//! instruction-by-instruction.
 
-use crate::{Instruction, Opcode, Reg};
+use crate::{Instruction, OpClass, Opcode, Reg};
 
 /// Register width of the modelled hart.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
@@ -172,14 +177,7 @@ pub fn step<M: MemoryIo>(state: &mut ArchState, instr: &Instruction, mem: &mut M
         Lb | Lh | Lw | Lbu | Lhu | Lwu | Ld | Flw => {
             let addr = rs1v.wrapping_add(imm as u64);
             let width = instr.op.mem_width().expect("load width");
-            let raw = mem.load(addr, width);
-            let value = if instr.op.load_sign_extends() {
-                let bits = u32::from(width) * 8;
-                ((raw << (64 - bits)) as i64 >> (64 - bits)) as u64
-            } else {
-                raw
-            };
-            write_rd(state, value);
+            write_rd(state, extend_load(mem.load(addr, width), width, instr.op.load_sign_extends()));
             mem_access = Some(MemAccess { addr, width, is_store: false });
         }
         Sb | Sh | Sw | Sd | Fsw => {
@@ -232,7 +230,8 @@ fn shamt_mask(xlen: Xlen) -> u32 {
 
 /// The result bits `op` writes to its destination register — the one
 /// definition of what every register-writing opcode computes, shared by
-/// [`step`] and the accelerator's planned PE ops ([`PureOp`]).
+/// [`step`], the CPU's predecoded [`step_flat`] and the accelerator's
+/// planned PE ops ([`PureOp`]).
 ///
 /// `rs1v`/`rs2v`/`rs3v` are the source registers as [`ArchState::read`]
 /// returns them (FP sources as their raw bits; absent sources as 0) and
@@ -506,134 +505,19 @@ fn fclass(v: f32) -> u32 {
     }
 }
 
-/// Operation selector of a [`FlatOp`].
+/// A predecoded RV32 micro-op: the [`Opcode`] with raw x-register indices
+/// and the immediate pulled out of the general [`Instruction`]'s
+/// `Option<Reg>` operands, so [`step_flat`] reads each source with one
+/// array index and never touches the FP file.
 ///
-/// One variant per hot RV32 opcode, dispatched by a single flat `match` in
-/// [`step_flat`] — no nested decode, no `Option<Reg>` walks, no FP-file
-/// reads on integer paths.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum FlatKind {
-    /// `rd = imm` (the decoder pre-shifts LUI's immediate).
-    Lui,
-    /// `rd = pc + imm`.
-    Auipc,
-    /// `rd = rs1 + imm`.
-    Addi,
-    /// `rd = (rs1 <s imm)`.
-    Slti,
-    /// `rd = (rs1 <u imm)`.
-    Sltiu,
-    /// `rd = rs1 ^ imm`.
-    Xori,
-    /// `rd = rs1 | imm`.
-    Ori,
-    /// `rd = rs1 & imm`.
-    Andi,
-    /// `rd = rs1 << shamt`.
-    Slli,
-    /// `rd = rs1 >>u shamt`.
-    Srli,
-    /// `rd = rs1 >>s shamt`.
-    Srai,
-    /// `rd = rs1 + rs2`.
-    Add,
-    /// `rd = rs1 - rs2`.
-    Sub,
-    /// `rd = rs1 << rs2`.
-    Sll,
-    /// `rd = (rs1 <s rs2)`.
-    Slt,
-    /// `rd = (rs1 <u rs2)`.
-    Sltu,
-    /// `rd = rs1 ^ rs2`.
-    Xor,
-    /// `rd = rs1 >>u rs2`.
-    Srl,
-    /// `rd = rs1 >>s rs2`.
-    Sra,
-    /// `rd = rs1 | rs2`.
-    Or,
-    /// `rd = rs1 & rs2`.
-    And,
-    /// Branch if `rs1 == rs2`.
-    Beq,
-    /// Branch if `rs1 != rs2`.
-    Bne,
-    /// Branch if `rs1 <s rs2`.
-    Blt,
-    /// Branch if `rs1 >=s rs2`.
-    Bge,
-    /// Branch if `rs1 <u rs2`.
-    Bltu,
-    /// Branch if `rs1 >=u rs2`.
-    Bgeu,
-    /// `rd = pc + 4; pc += imm`.
-    Jal,
-    /// Sign-extending byte load.
-    Lb,
-    /// Sign-extending half load.
-    Lh,
-    /// Word load.
-    Lw,
-    /// Zero-extending byte load.
-    Lbu,
-    /// Zero-extending half load.
-    Lhu,
-    /// Byte store.
-    Sb,
-    /// Half store.
-    Sh,
-    /// Word store.
-    Sw,
-}
-
-impl FlatKind {
-    /// `true` for pure fall-through integer ALU operations — the only legal
-    /// first constituent of a fused pair (they can never redirect control
-    /// flow, touch memory, or trap, so a pair is never split mid-execution).
-    #[must_use]
-    pub fn is_int_alu(self) -> bool {
-        use FlatKind::*;
-        matches!(
-            self,
-            Lui | Auipc
-                | Addi
-                | Slti
-                | Sltiu
-                | Xori
-                | Ori
-                | Andi
-                | Slli
-                | Srli
-                | Srai
-                | Add
-                | Sub
-                | Sll
-                | Slt
-                | Sltu
-                | Xor
-                | Srl
-                | Sra
-                | Or
-                | And
-        )
-    }
-}
-
-/// A predecoded, flattened RV32 micro-op.
-///
-/// Raw register-file indices and a pre-extracted immediate replace the
-/// general [`Instruction`]'s `Option<Reg>` operands, so [`step_flat`] runs
-/// one array index per source and a single flat `match` — the
-/// interpreter-class dispatch pattern (PC-indexed decoded caches, flattened
-/// handlers) from production RISC-V interpreters. Lowered once per static
-/// instruction by [`FlatOp::lower`]; semantics are bit-identical to [`step`]
-/// on the instruction it was lowered from (property-tested in `mesa-isa` and
-/// differentially arbitrated in `mesa-bench`).
+/// Lowered once per static instruction by [`FlatOp::lower`]. It carries no
+/// semantics of its own: [`step_flat`] computes values with the same
+/// per-opcode definition [`step`] uses, so the two agree bit for bit
+/// (property-tested in `tests/flat_op_proptest.rs`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct FlatOp {
-    /// Operation selector.
-    pub kind: FlatKind,
+    /// The operation.
+    pub op: Opcode,
     /// Destination x-register index (`0` discards, like `x0`).
     pub rd: u8,
     /// First source x-register index (`0` when unused).
@@ -647,63 +531,28 @@ pub struct FlatOp {
 impl FlatOp {
     /// Lowers an instruction into flattened form.
     ///
-    /// Returns `None` for anything outside the RV32 integer hot subset
-    /// (FP, mul/div, `jalr`, system ops, RV64) — those fall back to the
-    /// general [`step`] interpreter.
+    /// Accepts RV32 integer ALU ops, conditional branches, `jal`, and
+    /// loads and stores, on x-registers only and without a third source.
+    /// Returns `None` for anything else (FP, mul/div, `jalr`, system ops,
+    /// RV64-only ops, or an RV64 hart) — those run through the general
+    /// [`step`].
     #[must_use]
     pub fn lower(instr: &Instruction, xlen: Xlen) -> Option<FlatOp> {
-        if xlen != Xlen::Rv32 {
+        let op = instr.op;
+        let flat_class = matches!(
+            op.class(),
+            OpClass::IntAlu | OpClass::Branch | OpClass::Load | OpClass::Store
+        ) || op == Opcode::Jal;
+        if xlen != Xlen::Rv32 || !flat_class || op.is_rv64_only() || instr.rs3.is_some() {
             return None;
         }
-        let kind = match instr.op {
-            Opcode::Lui => FlatKind::Lui,
-            Opcode::Auipc => FlatKind::Auipc,
-            Opcode::Addi => FlatKind::Addi,
-            Opcode::Slti => FlatKind::Slti,
-            Opcode::Sltiu => FlatKind::Sltiu,
-            Opcode::Xori => FlatKind::Xori,
-            Opcode::Ori => FlatKind::Ori,
-            Opcode::Andi => FlatKind::Andi,
-            Opcode::Slli => FlatKind::Slli,
-            Opcode::Srli => FlatKind::Srli,
-            Opcode::Srai => FlatKind::Srai,
-            Opcode::Add => FlatKind::Add,
-            Opcode::Sub => FlatKind::Sub,
-            Opcode::Sll => FlatKind::Sll,
-            Opcode::Slt => FlatKind::Slt,
-            Opcode::Sltu => FlatKind::Sltu,
-            Opcode::Xor => FlatKind::Xor,
-            Opcode::Srl => FlatKind::Srl,
-            Opcode::Sra => FlatKind::Sra,
-            Opcode::Or => FlatKind::Or,
-            Opcode::And => FlatKind::And,
-            Opcode::Beq => FlatKind::Beq,
-            Opcode::Bne => FlatKind::Bne,
-            Opcode::Blt => FlatKind::Blt,
-            Opcode::Bge => FlatKind::Bge,
-            Opcode::Bltu => FlatKind::Bltu,
-            Opcode::Bgeu => FlatKind::Bgeu,
-            Opcode::Jal => FlatKind::Jal,
-            Opcode::Lb => FlatKind::Lb,
-            Opcode::Lh => FlatKind::Lh,
-            Opcode::Lw => FlatKind::Lw,
-            Opcode::Lbu => FlatKind::Lbu,
-            Opcode::Lhu => FlatKind::Lhu,
-            Opcode::Sb => FlatKind::Sb,
-            Opcode::Sh => FlatKind::Sh,
-            Opcode::Sw => FlatKind::Sw,
-            _ => return None,
-        };
         let x = |r: Option<Reg>| match r {
             None => Some(0u8),
             Some(Reg::X(n)) => Some(n),
             Some(Reg::F(_)) => None,
         };
-        if instr.rs3.is_some() {
-            return None;
-        }
         Some(FlatOp {
-            kind,
+            op,
             rd: x(instr.rd)?,
             rs1: x(instr.rs1)?,
             rs2: x(instr.rs2)?,
@@ -712,143 +561,80 @@ impl FlatOp {
     }
 }
 
-/// Canonical RV32 register write form (sign-extended to 64 bits), matching
-/// [`ArchState::write`].
+/// The register value a load of `width` bytes yields from `raw`, the bytes
+/// [`MemoryIo::load`] returned (zero-extended): sign-extended from the
+/// access width when `signed`, else `raw` unchanged. The one definition of
+/// load extension, shared by [`step`], [`step_flat`] and the accelerator's
+/// load nodes.
 #[inline]
-fn sext32(v: u64) -> u64 {
-    (v as u32) as i32 as i64 as u64
-}
-
-/// RV32 unsigned view of a canonical register value, matching
-/// `ArchState::unsigned` under `Xlen::Rv32`.
-#[inline]
-fn u32v(v: u64) -> u64 {
-    u64::from(v as u32)
-}
-
-/// Result value of a pure integer ALU [`FlatKind`]; pre-canonicalization.
-/// Non-ALU kinds never reach here (callers dispatch them separately).
-#[inline]
-fn alu_value(kind: FlatKind, pc: u64, rs1v: u64, rs2v: u64, imm: i64) -> u64 {
-    use FlatKind::*;
-    match kind {
-        Lui => imm as u64,
-        Auipc => pc.wrapping_add(imm as u64),
-        Addi => rs1v.wrapping_add(imm as u64),
-        Slti => u64::from((rs1v as i64) < imm),
-        Sltiu => u64::from(u32v(rs1v) < u32v(imm as u64)),
-        Xori => rs1v ^ imm as u64,
-        Ori => rs1v | imm as u64,
-        Andi => rs1v & imm as u64,
-        Slli => rs1v << (imm as u32 & 31),
-        Srli => u32v(rs1v) >> (imm as u32 & 31),
-        Srai => ((rs1v as i64) >> (imm as u32 & 31)) as u64,
-        Add => rs1v.wrapping_add(rs2v),
-        Sub => rs1v.wrapping_sub(rs2v),
-        Sll => rs1v << (rs2v as u32 & 31),
-        Slt => u64::from((rs1v as i64) < (rs2v as i64)),
-        Sltu => u64::from(u32v(rs1v) < u32v(rs2v)),
-        Xor => rs1v ^ rs2v,
-        Srl => u32v(rs1v) >> (rs2v as u32 & 31),
-        Sra => ((rs1v as i64) >> (rs2v as u32 & 31)) as u64,
-        Or => rs1v | rs2v,
-        And => rs1v & rs2v,
-        // Callers guarantee a pure ALU kind; anything else reads as a no-op.
-        _ => 0,
-    }
-}
-
-/// Condition of a branch [`FlatKind`] on canonical RV32 register values.
-#[inline]
-fn branch_taken(kind: FlatKind, rs1v: u64, rs2v: u64) -> bool {
-    use FlatKind::*;
-    match kind {
-        Beq => rs1v == rs2v,
-        Bne => rs1v != rs2v,
-        Blt => (rs1v as i64) < (rs2v as i64),
-        Bge => (rs1v as i64) >= (rs2v as i64),
-        Bltu => u32v(rs1v) < u32v(rs2v),
-        Bgeu => u32v(rs1v) >= u32v(rs2v),
-        // Callers guarantee a branch kind.
-        _ => false,
-    }
-}
-
-/// Load byte width and sign-extension bit count of a load [`FlatKind`].
-#[inline]
-fn load_shape(kind: FlatKind) -> (u8, u32) {
-    match kind {
-        FlatKind::Lb => (1, 8),
-        FlatKind::Lh => (2, 16),
-        FlatKind::Lbu => (1, 0),
-        FlatKind::Lhu => (2, 0),
-        // Lw (and, defensively, anything else).
-        _ => (4, 32),
+#[must_use]
+pub fn extend_load(raw: u64, width: u8, signed: bool) -> u64 {
+    if signed {
+        let drop = 64 - u32::from(width) * 8;
+        ((raw << drop) as i64 >> drop) as u64
+    } else {
+        raw
     }
 }
 
 /// Executes one flattened micro-op, updating `state` (including `pc`).
 ///
-/// Bit-identical to [`step`] on the instruction the op was lowered from;
-/// the only requirement is RV32 state (enforced by [`FlatOp::lower`]).
-#[inline]
+/// Bit-identical to [`step`] on the instruction the op was lowered from:
+/// values come from the same per-opcode definition, on RV32 state
+/// (enforced by [`FlatOp::lower`]).
+// Forced inline: the CPU's fused loop calls this at three sites, and left
+// to the compiler it became one out-of-line call that slowed the fused
+// loop by ~10%.
+#[inline(always)]
 pub fn step_flat<M: MemoryIo>(state: &mut ArchState, op: &FlatOp, mem: &mut M) -> StepInfo {
     // Re-assert the x0 invariant so raw-index reads below stay correct even
     // if a caller poked the register file directly.
     state.x[0] = 0;
     let pc = state.pc;
+    let next = pc.wrapping_add(4);
     let rs1v = state.x[usize::from(op.rs1)];
     let rs2v = state.x[usize::from(op.rs2)];
-    use FlatKind::*;
-    let (outcome, mem_access) = match op.kind {
-        Beq | Bne | Blt | Bge | Bltu | Bgeu => (
-            Outcome::Branch {
-                taken: branch_taken(op.kind, rs1v, rs2v),
-                target: pc.wrapping_add(op.imm as u64),
-            },
-            None,
-        ),
-        Jal => {
-            state.x[usize::from(op.rd)] = sext32(pc.wrapping_add(4));
-            state.x[0] = 0;
-            (Outcome::Jump { target: pc.wrapping_add(op.imm as u64) }, None)
+    let (value, info) = match op.op.class() {
+        OpClass::Branch => {
+            let taken = op_taken(op.op, Xlen::Rv32, rs1v, rs2v);
+            let target = pc.wrapping_add(op.imm as u64);
+            state.pc = if taken { target } else { next };
+            return StepInfo { outcome: Outcome::Branch { taken, target }, mem: None };
         }
-        Lb | Lh | Lw | Lbu | Lhu => {
+        OpClass::Store => {
             let addr = rs1v.wrapping_add(op.imm as u64);
-            let (width, bits) = load_shape(op.kind);
-            let raw = mem.load(addr, width);
-            let value = if bits > 0 {
-                ((raw << (64 - bits)) as i64 >> (64 - bits)) as u64
-            } else {
-                raw
-            };
-            state.x[usize::from(op.rd)] = sext32(value);
-            state.x[0] = 0;
-            (Outcome::Next, Some(MemAccess { addr, width, is_store: false }))
-        }
-        Sb | Sh | Sw => {
-            let addr = rs1v.wrapping_add(op.imm as u64);
-            let width = match op.kind {
-                Sb => 1,
-                Sh => 2,
-                _ => 4,
-            };
+            let width = op.op.mem_width().expect("store width");
             mem.store(addr, width, rs2v);
-            (Outcome::Next, Some(MemAccess { addr, width, is_store: true }))
+            state.pc = next;
+            let mem = Some(MemAccess { addr, width, is_store: true });
+            return StepInfo { outcome: Outcome::Next, mem };
         }
-        _ => {
-            state.x[usize::from(op.rd)] = sext32(alu_value(op.kind, pc, rs1v, rs2v, op.imm));
-            state.x[0] = 0;
-            (Outcome::Next, None)
+        OpClass::Load => {
+            let addr = rs1v.wrapping_add(op.imm as u64);
+            let width = op.op.mem_width().expect("load width");
+            let value = extend_load(mem.load(addr, width), width, op.op.load_sign_extends());
+            let mem = Some(MemAccess { addr, width, is_store: false });
+            (value, StepInfo { outcome: Outcome::Next, mem })
+        }
+        // An integer ALU op, or `jal` (the only jump `FlatOp::lower` accepts).
+        class => {
+            let outcome = if class == OpClass::Jump {
+                Outcome::Jump { target: pc.wrapping_add(op.imm as u64) }
+            } else {
+                Outcome::Next
+            };
+            let value = op_value(op.op, Xlen::Rv32, pc, rs1v, rs2v, 0, op.imm);
+            (value, StepInfo { outcome, mem: None })
         }
     };
-    state.pc = match outcome {
-        Outcome::Next | Outcome::Syscall => pc.wrapping_add(4),
-        Outcome::Branch { taken: true, target } | Outcome::Jump { target } => target,
-        Outcome::Branch { taken: false, .. } => pc.wrapping_add(4),
-        Outcome::Halt => pc,
+    // RV32 canonical form, as `ArchState::write` stores it.
+    state.x[usize::from(op.rd)] = (value as u32) as i32 as i64 as u64;
+    state.x[0] = 0;
+    state.pc = match info.outcome {
+        Outcome::Jump { target } => target,
+        _ => next,
     };
-    StepInfo { outcome, mem: mem_access }
+    info
 }
 
 /// The idiom a fused superinstruction pair implements.
@@ -864,13 +650,13 @@ pub enum FusedKind {
     AluAlu,
 }
 
-/// A fused superinstruction: two adjacent RV32 micro-ops executed by one
-/// handler ([`step_fused`]).
+/// A macro-op fusion pairing: two adjacent RV32 micro-ops the CPU model
+/// retires in one loop iteration.
 ///
-/// The first constituent is always a pure fall-through integer ALU op
-/// ([`FlatKind::is_int_alu`]), so the pair can never be split by control
-/// flow, a trap, or a memory fault between its halves — architectural state
-/// after [`step_fused`] is exactly the state after two [`step_flat`] calls.
+/// Fusion is a decode-time pairing, not a second executor: a pair runs as
+/// two [`step_flat`] calls. The first constituent is always a pure
+/// fall-through integer ALU op, so the pair can never be split by control
+/// flow, a trap, or a memory fault between its halves.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct FusedOp {
     /// Which idiom the pair matched (drives per-pair fusion-hit counters).
@@ -884,104 +670,28 @@ pub struct FusedOp {
 impl FusedOp {
     /// Attempts to fuse `a` followed immediately by `b`.
     ///
-    /// `a` must be a pure fall-through integer ALU op; `b` classifies the
-    /// idiom: branch → [`FusedKind::CmpBranch`], load →
-    /// [`FusedKind::AddrLoad`], store → [`FusedKind::AddrStore`], ALU →
-    /// [`FusedKind::AluAlu`]. Anything else (e.g. `jal` second) declines.
+    /// `a` must be an integer ALU op; `b`'s class picks the idiom: branch →
+    /// [`FusedKind::CmpBranch`], load → [`FusedKind::AddrLoad`], store →
+    /// [`FusedKind::AddrStore`], integer ALU → [`FusedKind::AluAlu`].
+    /// Anything else (e.g. `jal` second) declines.
     #[must_use]
     pub fn fuse(a: FlatOp, b: FlatOp) -> Option<FusedOp> {
-        use FlatKind::*;
-        if !a.kind.is_int_alu() {
+        if a.op.class() != OpClass::IntAlu {
             return None;
         }
-        let kind = match b.kind {
-            Beq | Bne | Blt | Bge | Bltu | Bgeu => FusedKind::CmpBranch,
-            Lb | Lh | Lw | Lbu | Lhu => FusedKind::AddrLoad,
-            Sb | Sh | Sw => FusedKind::AddrStore,
-            k if k.is_int_alu() => FusedKind::AluAlu,
+        let kind = match b.op.class() {
+            OpClass::Branch => FusedKind::CmpBranch,
+            OpClass::Load => FusedKind::AddrLoad,
+            OpClass::Store => FusedKind::AddrStore,
+            OpClass::IntAlu => FusedKind::AluAlu,
             _ => return None,
         };
         Some(FusedOp { kind, a, b })
     }
 }
 
-/// Executes one fused superinstruction pair, returning the per-constituent
-/// step results (first, second) so timing models can account each half.
-///
-/// One specialized handler per idiom: the ALU constituent computes and
-/// retires inline, then the second half runs without re-entering the
-/// dispatcher — no intermediate control-transfer check is needed because the
-/// first constituent falls through by construction.
-#[inline]
-pub fn step_fused<M: MemoryIo>(state: &mut ArchState, f: &FusedOp, mem: &mut M) -> (StepInfo, StepInfo) {
-    state.x[0] = 0;
-    let pc = state.pc;
-    let a = &f.a;
-    let va = alu_value(
-        a.kind,
-        pc,
-        state.x[usize::from(a.rs1)],
-        state.x[usize::from(a.rs2)],
-        a.imm,
-    );
-    state.x[usize::from(a.rd)] = sext32(va);
-    state.x[0] = 0;
-    let pc2 = pc.wrapping_add(4);
-    let ia = StepInfo { outcome: Outcome::Next, mem: None };
-
-    let b = &f.b;
-    let rs1v = state.x[usize::from(b.rs1)];
-    let rs2v = state.x[usize::from(b.rs2)];
-    let ib = match f.kind {
-        FusedKind::AluAlu => {
-            state.x[usize::from(b.rd)] = sext32(alu_value(b.kind, pc2, rs1v, rs2v, b.imm));
-            state.x[0] = 0;
-            state.pc = pc2.wrapping_add(4);
-            StepInfo { outcome: Outcome::Next, mem: None }
-        }
-        FusedKind::CmpBranch => {
-            let taken = branch_taken(b.kind, rs1v, rs2v);
-            let target = pc2.wrapping_add(b.imm as u64);
-            state.pc = if taken { target } else { pc2.wrapping_add(4) };
-            StepInfo { outcome: Outcome::Branch { taken, target }, mem: None }
-        }
-        FusedKind::AddrLoad => {
-            let addr = rs1v.wrapping_add(b.imm as u64);
-            let (width, bits) = load_shape(b.kind);
-            let raw = mem.load(addr, width);
-            let value = if bits > 0 {
-                ((raw << (64 - bits)) as i64 >> (64 - bits)) as u64
-            } else {
-                raw
-            };
-            state.x[usize::from(b.rd)] = sext32(value);
-            state.x[0] = 0;
-            state.pc = pc2.wrapping_add(4);
-            StepInfo {
-                outcome: Outcome::Next,
-                mem: Some(MemAccess { addr, width, is_store: false }),
-            }
-        }
-        FusedKind::AddrStore => {
-            let addr = rs1v.wrapping_add(b.imm as u64);
-            let width = match b.kind {
-                FlatKind::Sb => 1,
-                FlatKind::Sh => 2,
-                _ => 4,
-            };
-            mem.store(addr, width, rs2v);
-            state.pc = pc2.wrapping_add(4);
-            StepInfo {
-                outcome: Outcome::Next,
-                mem: Some(MemAccess { addr, width, is_store: true }),
-            }
-        }
-    };
-    (ia, ib)
-}
-
 /// A trivially simple flat memory for tests and functional-only runs.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct FlatMemory {
     bytes: std::collections::HashMap<u64, u8>,
 }
@@ -1200,113 +910,29 @@ mod tests {
         assert_eq!(st.read(A2), 0);
     }
 
-    /// Every instruction in the flat subset, with operand registers chosen
-    /// so sign/zero-extension, shifts, and x0 edge cases all get exercised.
-    fn flat_subset_instrs() -> Vec<Instruction> {
-        use Opcode::*;
-        let mut v = vec![
-            Instruction::upper(Lui, A0, 0x12345 << 12),
-            Instruction::upper(Auipc, A1, 0x1000),
-            Instruction::reg_imm(Addi, A2, A0, -7),
-            Instruction::reg_imm(Slti, A3, A0, 3),
-            Instruction::reg_imm(Sltiu, A3, A0, -1),
-            Instruction::reg_imm(Xori, A4, A1, 0x5A5),
-            Instruction::reg_imm(Ori, A5, A2, 0x0F0),
-            Instruction::reg_imm(Andi, A0, A3, 0x7F),
-            Instruction::reg_imm(Slli, A1, A4, 5),
-            Instruction::reg_imm(Srli, A2, A5, 3),
-            Instruction::reg_imm(Srai, A3, A0, 2),
-            Instruction::reg3(Add, A4, A0, A1),
-            Instruction::reg3(Sub, A5, A1, A2),
-            Instruction::reg3(Sll, A0, A2, A3),
-            Instruction::reg3(Slt, A1, A3, A4),
-            Instruction::reg3(Sltu, A2, A4, A5),
-            Instruction::reg3(Xor, A3, A5, A0),
-            Instruction::reg3(Srl, A4, A0, A1),
-            Instruction::reg3(Sra, A5, A1, A2),
-            Instruction::reg3(Or, A0, A2, A3),
-            Instruction::reg3(And, A1, A3, A4),
-            Instruction::reg_imm(Addi, ZERO, A0, 1), // write to x0 discarded
-        ];
-        for op in [Beq, Bne, Blt, Bge, Bltu, Bgeu] {
-            v.push(Instruction::branch(op, A0, A1, 0x40));
-        }
-        v.push(Instruction::jal(RA, 0x80));
-        for op in [Lb, Lh, Lw, Lbu, Lhu] {
-            v.push(Instruction::load(op, A2, A3, 4));
-        }
-        for op in [Sb, Sh, Sw] {
-            v.push(Instruction::store(op, A4, A3, 8));
-        }
-        v
-    }
-
-    #[test]
-    fn step_flat_matches_step_on_whole_subset() {
-        for (i, instr) in flat_subset_instrs().iter().enumerate() {
-            let op = FlatOp::lower(instr, Xlen::Rv32)
-                .unwrap_or_else(|| panic!("instr {i} should lower: {instr:?}"));
-            // Seed registers with extension-hostile values.
-            let mut a = ArchState::new(0x1000, Xlen::Rv32);
-            for n in 1..32u8 {
-                a.write(Reg::X(n), 0x8000_0000u64.wrapping_mul(u64::from(n)) ^ 0xDEAD_BEEF);
-            }
-            a.write(A3, 0x100); // load/store base
-            let mut b = a.clone();
-            let mut mem_a = FlatMemory::new();
-            mem_a.store_u32(0x100, 0xFFEE_DDCC);
-            mem_a.store_u32(0x104, 0x8001_7FFE);
-            let mut mem_b = mem_a.clone();
-            let ia = step(&mut a, instr, &mut mem_a);
-            let ib = step_flat(&mut b, &op, &mut mem_b);
-            assert_eq!(ia, ib, "StepInfo diverged on instr {i}: {instr:?}");
-            assert_eq!(a, b, "ArchState diverged on instr {i}: {instr:?}");
-            assert_eq!(mem_a.load(0x108, 8), mem_b.load(0x108, 8));
-            assert_eq!(mem_a.load(0x100, 8), mem_b.load(0x100, 8));
-        }
-    }
-
     #[test]
     fn lower_declines_non_flat_instrs() {
-        assert!(FlatOp::lower(&Instruction::system(Opcode::Ecall), Xlen::Rv32).is_none());
-        assert!(FlatOp::lower(&Instruction::reg3(Opcode::Mul, A0, A1, A2), Xlen::Rv32).is_none());
-        assert!(FlatOp::lower(&Instruction::reg3(Opcode::FaddS, FA0, FA1, FA2), Xlen::Rv32).is_none());
-        // RV64 never lowers: the flat handlers bake in 32-bit canonicalization.
-        assert!(FlatOp::lower(&Instruction::reg_imm(Opcode::Addi, A0, A0, 1), Xlen::Rv64).is_none());
-    }
-
-    #[test]
-    fn step_fused_matches_two_flat_steps_per_idiom() {
         use Opcode::*;
-        let pairs: Vec<[Instruction; 2]> = vec![
-            // compare + branch
-            [Instruction::reg3(Slt, T0, A0, A1), Instruction::branch(Bne, T0, ZERO, -0x20)],
-            // addr-gen + load
-            [Instruction::reg_imm(Addi, T1, A3, 4), Instruction::load(Lw, T2, T1, 0)],
-            // addr-gen + store
-            [Instruction::reg3(Add, T1, A3, ZERO), Instruction::store(Sw, A0, T1, 0)],
-            // add + add chain
-            [Instruction::reg_imm(Addi, T3, A0, 1), Instruction::reg3(Add, T4, T3, A1)],
+        let declined = [
+            Instruction::system(Ecall),
+            Instruction::reg3(Mul, A0, A1, A2),
+            Instruction::reg3(FaddS, FA0, FA1, FA2),
+            // RV64-only integer ops, even on an RV32 hart.
+            Instruction::reg_imm(Addiw, A0, A1, 1),
+            Instruction::reg3(Sllw, A0, A1, A2),
+            Instruction { op: Jalr, rd: Some(RA), rs1: Some(A0), rs2: None, rs3: None, imm: 0 },
+            // FP loads and stores: their data register is in the FP file.
+            Instruction::load(Flw, FA0, A0, 0),
+            Instruction::store(Fsw, FA0, A0, 0),
+            // A third source, whatever the opcode.
+            Instruction { op: Add, rd: Some(A0), rs1: Some(A1), rs2: Some(A2), rs3: Some(A3), imm: 0 },
         ];
-        for (i, [x, y]) in pairs.iter().enumerate() {
-            let fa = FlatOp::lower(x, Xlen::Rv32).expect("first lowers");
-            let fb = FlatOp::lower(y, Xlen::Rv32).expect("second lowers");
-            let fused = FusedOp::fuse(fa, fb).unwrap_or_else(|| panic!("pair {i} should fuse"));
-            let mut a = ArchState::new(0x2000, Xlen::Rv32);
-            a.write(A0, 5);
-            a.write(A1, 9);
-            a.write(A3, 0x200);
-            let mut b = a.clone();
-            let mut mem_a = FlatMemory::new();
-            mem_a.store_u32(0x204, 0xCAFE_F00D);
-            let mut mem_b = mem_a.clone();
-            let i1 = step_flat(&mut a, &fa, &mut mem_a);
-            let i2 = step_flat(&mut a, &fb, &mut mem_a);
-            let (j1, j2) = step_fused(&mut b, &fused, &mut mem_b);
-            assert_eq!((i1, i2), (j1, j2), "StepInfos diverged on pair {i}");
-            assert_eq!(a, b, "ArchState diverged on pair {i}");
-            assert_eq!(mem_a.load(0x200, 8), mem_b.load(0x200, 8));
+        for instr in &declined {
+            assert!(FlatOp::lower(instr, Xlen::Rv32).is_none(), "{instr:?} must not lower");
         }
+        // RV64 never lowers: the flat path canonicalizes to 32 bits.
+        assert!(FlatOp::lower(&Instruction::reg_imm(Addi, A0, A0, 1), Xlen::Rv64).is_none());
+        assert!(FlatOp::lower(&Instruction::reg_imm(Addi, A0, A0, 1), Xlen::Rv32).is_some());
     }
 
     #[test]

@@ -57,8 +57,8 @@ pub mod reg;
 pub use asm::{Annotation, Asm, AsmError, ParallelKind, Program};
 pub use codec::{decode, encode, DecodeError, EncodeError};
 pub use exec::{
-    step, step_flat, step_fused, ArchState, FlatKind, FlatMemory, FlatOp, FusedKind, FusedOp,
-    MemAccess, MemoryIo, Outcome, PureOp, StepInfo, Xlen,
+    extend_load, step, step_flat, ArchState, FlatMemory, FlatOp, FusedKind, FusedOp, MemAccess,
+    MemoryIo, Outcome, PureOp, StepInfo, Xlen,
 };
 pub use instr::Instruction;
 pub use opcode::{OpClass, Opcode};

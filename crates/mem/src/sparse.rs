@@ -118,6 +118,31 @@ impl SparseMemory {
         }
     }
 
+    /// Page numbers of every page touched so far, in no particular order.
+    fn page_numbers(&self) -> impl Iterator<Item = u64> + '_ {
+        let direct = self.direct.iter().enumerate().filter(|(_, p)| p.is_some());
+        direct.map(|(pn, _)| pn as u64).chain(self.pages.keys().copied())
+    }
+
+    /// The lowest byte address at which `self` and `other` hold different
+    /// values, with `self`'s byte and `other`'s there; `None` when the two
+    /// images agree everywhere. An untouched page reads as zero, so it
+    /// equals a touched page that holds only zeros.
+    #[must_use]
+    pub fn first_difference(&self, other: &SparseMemory) -> Option<(u64, u8, u8)> {
+        static ZERO_PAGE: [u8; PAGE_SIZE] = [0; PAGE_SIZE];
+        let mut pns: Vec<u64> = self.page_numbers().chain(other.page_numbers()).collect();
+        pns.sort_unstable();
+        pns.dedup();
+        pns.into_iter().find_map(|pn| {
+            let addr = pn << PAGE_SHIFT;
+            let a = self.page(addr).unwrap_or(&ZERO_PAGE);
+            let b = other.page(addr).unwrap_or(&ZERO_PAGE);
+            let off = a.iter().zip(b).position(|(x, y)| x != y)?;
+            Some((addr + off as u64, a[off], b[off]))
+        })
+    }
+
     fn read_byte(&self, addr: u64) -> u8 {
         self.page(addr).map_or(0, |p| p[(addr as usize) & (PAGE_SIZE - 1)])
     }
@@ -226,6 +251,26 @@ mod tests {
         m.store(0x100, 8, 0x1122_3344_5566_7788);
         m.store(0x102, 2, 0xFFFF);
         assert_eq!(m.load(0x100, 8), 0x1122_3344_FFFF_7788);
+    }
+
+    #[test]
+    fn first_difference_treats_untouched_pages_as_zero() {
+        let mut a = SparseMemory::new();
+        let mut b = SparseMemory::new();
+        assert_eq!(a.first_difference(&b), None);
+        // A page holding only zeros equals an untouched one, in the direct
+        // window and above it.
+        a.store(0x3000, 8, 0);
+        b.store(0x1_0000_0000, 4, 0);
+        assert_eq!(a.first_difference(&b), None);
+        assert_eq!(b.first_difference(&a), None);
+        // The lowest differing byte wins, whichever side touched it.
+        b.store(0x1_0000_0010, 1, 7);
+        a.store(0x3005, 2, 0xAB00);
+        assert_eq!(a.first_difference(&b), Some((0x3006, 0xAB, 0)));
+        assert_eq!(b.first_difference(&a), Some((0x3006, 0, 0xAB)));
+        b.store(0x3006, 1, 0xAB);
+        assert_eq!(a.first_difference(&b), Some((0x1_0000_0010, 0, 7)));
     }
 
     #[test]

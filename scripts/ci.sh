@@ -164,6 +164,20 @@ cargo run --release --offline -q -p mesa-bench --bin figures -- \
 cmp "$fig_small" figures_output.txt
 echo "figures all small matches the committed figures_output.txt"
 
+# EXPERIMENTS.md's Fig. 11 table quotes the golden MEAN row (M-128/M-512
+# speedup, then M-128/M-512 energy efficiency, in the row's column order):
+# a change that regenerates figures_output.txt must update the table too.
+fig11_golden="$(awk '/^== Fig\. 11:/ { f = 1 } f && $1 == "MEAN" { print $2, $3, $4, $5; exit }' \
+  figures_output.txt | tr -d x)"
+fig11_table="$(awk -F'|' '/^## Fig\. 11 / { f = 1; next } f && /^## / { exit }
+  f && $2 ~ /^ M-(128|512) / { v = $4; gsub(/[^0-9.]/, "", v); out = out sep v; sep = " " }
+  END { print out }' EXPERIMENTS.md)"
+if [[ -z "$fig11_golden" || "$fig11_golden" != "$fig11_table" ]]; then
+  echo "ci: EXPERIMENTS.md Fig. 11 table reads '${fig11_table}', golden MEAN row '${fig11_golden}'" >&2
+  exit 1
+fi
+echo "EXPERIMENTS.md Fig. 11 table matches the golden MEAN row (${fig11_golden})"
+
 # The same golden check at the paper's scale: every `large` figure and
 # Fig. 11's paper-error line must match figures_output_large.txt, which a
 # figure-moving change regenerates with
